@@ -10,6 +10,8 @@ capability gap the recovery layer demonstrates.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,12 @@ from repro.exceptions import ConfigurationError, RankFailedError
 from repro.gridsim.failures import FailureSchedule, RankFailure
 from repro.programs.caqr import CAQRConfig, run_parallel_caqr
 from repro.util.random_matrices import random_matrix
+from tests.gridsim.test_engine_equivalence import (
+    GOLDEN_HASHES,
+    _digest,
+    _run_hash,
+    _summary_hash,
+)
 
 BACKENDS = ("coroutine", "threads")
 
@@ -202,6 +210,26 @@ class TestDeterminismAndAccounting:
             assert other.trace == first.trace
             assert other.recovery == first.recovery
             assert other.simulation.events == first.simulation.events
+
+    @pytest.mark.parametrize("engine", BACKENDS)
+    def test_failing_run_matches_golden(self, platform4_single_site, engine):
+        res = run_dag_factorization(
+            platform4_single_site,
+            qr_config(),
+            failures=FailureSchedule([RankFailure(2, after_events=40)]),
+            engine=engine,
+            record_messages=True,
+        )
+        digest = _digest(
+            [
+                hashlib.sha256(res.r.tobytes()).hexdigest(),
+                repr(res.recovery),
+                res.makespan_s,
+                _summary_hash(res.trace),
+                _run_hash(res.simulation),
+            ]
+        )
+        assert digest == GOLDEN_HASHES["dag-recovery"]
 
     def test_rank_failure_events_are_traced(self, platform4_single_site):
         cfg = qr_config()

@@ -23,7 +23,9 @@ graph in the error message).  These tests pin that contract, plus:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import multiprocessing
 
 import pytest
@@ -43,6 +45,28 @@ def _event_hash(sim: SimulationResult) -> str:
     """Canonical digest of a run's ordered event stream and final clocks."""
     payload = repr((sim.events, sim.clocks, sim.makespan)).encode()
     return hashlib.sha256(payload).hexdigest()
+
+
+def _digest(obj) -> str:
+    """sha256 of ``obj`` as canonical JSON (sorted keys, round-trip floats)."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _summary_hash(summary) -> str:
+    """Digest of the :class:`TraceSummary` fields that take part in equality."""
+    return _digest(
+        {f.name: getattr(summary, f.name) for f in dataclasses.fields(summary) if f.compare}
+    )
+
+
+def _run_hash(sim: SimulationResult) -> str:
+    """Digest of a run: event stream, clocks, makespan and trace summary."""
+    return _digest([_event_hash(sim), _summary_hash(sim.trace)])
+
+
+def _stats_hash(summary) -> str:
+    """Digest of the streaming snapshot and the top-K hot spots."""
+    return _digest([summary.stats.as_dict(), [h.as_dict() for h in summary.hot_spots]])
 
 
 def _run(platform, *, engine: str) -> SimulationResult:
@@ -262,6 +286,55 @@ TRACE_HASHES = [
     (('owner-computes', 'fifo'), 'ce1ae3eb6132db06328810a5dabb650530a5a6bd2ec63ee8f5e36d2073328c2d'),
 ]
 
+#: Golden ``_summary_hash`` of the same nine runs' trace summaries.
+SUMMARY_HASHES = {
+    ('block', 'critical-path'): 'cf17adba25480d721b01d4ac3b2a66d63cdd4da5060d23baa17c639b7684c060',
+    ('block', 'panel'): 'f9714340568f997d846c17b820c0f24d5c50b21c6b60869451ada369143a3aad',
+    ('block', 'fifo'): 'b72e02d19bf6b46575c7bcc116ad6b8da8232b73b38854d4e7534701abb38c64',
+    ('block-cyclic', 'critical-path'): 'a4ec4af79406fa00c326b816d310a9734e372774cf33f61c47506321969367c3',
+    ('block-cyclic', 'panel'): '8980c406c4813bb3b844e22363269090cc5b020e347a2311404e2107f4e0b9f1',
+    ('block-cyclic', 'fifo'): '94e2bdb23ccc5e14fc0952e93e9e7082438fbd2099c367f794f5a7ddb3851063',
+    ('owner-computes', 'critical-path'): '0b3c31572ec816c1fff47b35277fa0fb9c31c1088c9b6b5a755271723a1add4b',
+    ('owner-computes', 'panel'): 'd498aa879dcc1acb524d255f4dbdc82dc86c45f7e9b1324c29ba0d9817a6806f',
+    ('owner-computes', 'fifo'): 'f1c60b474600c107e5a6935ef1f125750e782b932969b00f7384c1d79c9b7f35',
+}
+
+#: Golden digests of the scenarios the coroutine and threads backends were
+#: cross-checked on, captured while both backends existed and agreed on
+#: every value.  ``spmd-*``/``dag-cholesky``/``dag-lu`` are ``_run_hash``
+#: values on the 8-rank platform; ``failures-*``, ``dag-recovery`` and
+#: ``probe-yield`` are built by the tests that check them (here and in
+#: ``test_failures.py`` / ``tests/dag/test_recovery.py``); ``stats-*`` are
+#: ``_stats_hash`` values checked by ``tests/obs/test_streaming_equivalence.py``.
+GOLDEN_HASHES = {
+    "spmd-tsqr": 'fc7e3c7eb0a496851043cbe7a1a9ec8f88fe9ad5e5602831c6b6dcd338d298f1',
+    "spmd-tsqr-want-q": '28718e1fef8ddb601c8fac26f1e94bcccb3e9f6efd69d17e12ac80927ed0e362',
+    "spmd-caqr": 'd28809745538ff6cb2b57f299548c0ff958d43be7c8ea5238fa0fb18edd8d393',
+    "dag-cholesky": 'b98fc24ac5d60450941ad97a5db69770ca715a66f510f2cc7dafe9b4bd10dffb',
+    "dag-lu": '0e0f96b2e39f2eae980225ccfa0df2a51ad477c44959ec0c887d794a5edcc3fe',
+    "probe-yield": '4e491c1a0cad2a9a02267e6abd3e45f2e3b7d622250bd40940b9bb22e0e62e85',
+    "failures-ring": '51b56ed9ff33434817f889e84004d82b21f12f42e36cf00b2d42658c77c20c64',
+    "failures-compute-only": '6406abef988d92469a709faa663af9b1b9e2213bd03be3003e9d6f204f884075',
+    "dag-recovery": 'ae2db22c94fc9585b9b73a2c6e9cedc77c1f230387131bd90efe806ba40a0985',
+    "stats-spmd-tsqr": '8644869c60a333eea4849903e15406b7ccb8ac379e8ec11c8c86f93740c4f985',
+    "stats-dag-caqr": '4316465947b6e188b4834afd5432261622f3e9e216df1cfdb0194a5fff6afdf2',
+}
+
+#: ``(rank, domain)`` of every per-rank result of the ``spmd-tsqr`` run.
+TSQR_RANK_DOMAINS = [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (7, 3)]
+
+#: The full deadlock report of :func:`_deadlock_program` on 4 ranks.
+DEADLOCK_WAIT_GRAPH = (
+    "deadlock detected: all 4 live rank(s) are blocked and no pending event "
+    "can unblock them\n"
+    "  rank 0: waiting on recv(source=1, tag='cycle') on communicator 'world'\n"
+    "  rank 1: waiting on recv(source=0, tag='cycle') on communicator 'world'\n"
+    "  rank 2: waiting on collective 'barrier' on communicator 'world' "
+    "(2/4 ranks arrived)\n"
+    "  rank 3: waiting on collective 'barrier' on communicator 'world' "
+    "(2/4 ranks arrived)"
+)
+
 
 class TestRegistryRefactorEquivalence:
     """The generic builder's QR output is the legacy builder's, bit for bit."""
@@ -282,6 +355,7 @@ class TestRegistryRefactorEquivalence:
         )
         result = run_dag_caqr(platform8, config, record_messages=True)
         assert _event_hash(result.simulation) == expected
+        assert _summary_hash(result.trace) == SUMMARY_HASHES[policies]
 
     @pytest.mark.parametrize("algorithm,m,n", [("cholesky", 768, 768), ("lu", 1024, 768)])
     def test_new_algorithms_bit_identical_across_engines(self, platform8, algorithm, m, n):
@@ -297,6 +371,77 @@ class TestRegistryRefactorEquivalence:
             for engine in ("coroutine", "threads")
         }
         _assert_identical(runs["coroutine"], runs["threads"])
+
+
+def _deadlock_program(ctx):
+    """Ranks 0 and 1 wait on each other; ranks 2 and 3 strand in a barrier."""
+    if ctx.comm.rank < 2:
+        other = 1 - ctx.comm.rank
+        return (yield from ctx.comm.recv(source=other, tag="cycle"))
+    yield from ctx.comm.barrier()
+
+
+def _probe_yield_program(ctx):
+    """Rank 0 samples ``(clock, probe)`` between yields while rank 1 computes."""
+    comm = ctx.comm
+    if comm.rank == 1:
+        ctx.compute(1e9, kernel="gemm")
+        comm.send("late", dest=0, tag="m")
+        return None
+    if comm.rank != 0:
+        return None
+    samples = []
+    for _ in range(12):
+        ctx.compute(2e8, kernel="gemm")
+        yield from ctx.yield_turn()
+        samples.append((ctx.clock(), comm.probe(source=1, tag="m")))
+    got = yield from comm.recv(source=1, tag="m")
+    return (got, tuple(samples))
+
+
+@pytest.mark.parametrize("engine", ["coroutine", "threads"])
+class TestGoldenValues:
+    """Every scenario the backends were cross-checked on, pinned to a golden value."""
+
+    def test_spmd_tsqr(self, platform8, engine):
+        sim = _run(platform8, engine=engine)
+        assert _run_hash(sim) == GOLDEN_HASHES["spmd-tsqr"]
+        assert [(r.rank, r.domain) for r in sim.results] == TSQR_RANK_DOMAINS
+
+    def test_spmd_tsqr_want_q(self, platform8, engine):
+        config = dataclasses.replace(CONFIG, want_q=True)
+        sim = run_parallel_tsqr(
+            platform8, config, record_messages=True, engine=engine
+        ).simulation
+        assert _run_hash(sim) == GOLDEN_HASHES["spmd-tsqr-want-q"]
+
+    def test_spmd_caqr(self, platform8, engine):
+        sim = run_parallel_caqr(
+            platform8, CAQR_CONFIG, record_messages=True, engine=engine
+        ).simulation
+        assert _run_hash(sim) == GOLDEN_HASHES["spmd-caqr"]
+
+    @pytest.mark.parametrize("algorithm,m,n", [("cholesky", 768, 768), ("lu", 1024, 768)])
+    def test_dag_cholesky_and_lu(self, platform8, engine, algorithm, m, n):
+        from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
+
+        config = DAGFactorizationConfig(
+            m=m, n=n, tile_size=128, placement="block-cyclic", algorithm=algorithm
+        )
+        sim = run_dag_factorization(
+            platform8, config, record_messages=True, engine=engine
+        ).simulation
+        assert _run_hash(sim) == GOLDEN_HASHES[f"dag-{algorithm}"]
+
+    def test_deadlock_wait_graph(self, platform4_single_site, engine):
+        with pytest.raises(DeadlockError) as excinfo:
+            run_spmd(platform4_single_site, _deadlock_program, engine=engine)
+        assert str(excinfo.value) == DEADLOCK_WAIT_GRAPH
+
+    def test_probe_and_yield_turn_samples(self, platform4_single_site, engine):
+        sim = run_spmd(platform4_single_site, _probe_yield_program, engine=engine)
+        digest = hashlib.sha256(repr((sim.results, sim.clocks)).encode()).hexdigest()
+        assert digest == GOLDEN_HASHES["probe-yield"]
 
 
 def _make_platform8():

@@ -15,6 +15,7 @@ import pytest
 from repro.exceptions import ConfigurationError, RankFailedError
 from repro.gridsim.executor import run_spmd
 from repro.gridsim.failures import FailureSchedule, RankFailure
+from tests.gridsim.test_engine_equivalence import GOLDEN_HASHES, _digest, _run_hash
 
 BACKENDS = ("coroutine", "threads")
 
@@ -179,6 +180,26 @@ class TestDeterminism:
             assert other.makespan == first.makespan
             assert other.trace == first.trace
             assert other.trace.rank_failures == first.trace.rank_failures
+
+    @pytest.mark.parametrize("engine", BACKENDS)
+    @pytest.mark.parametrize(
+        "program,key",
+        [(_ring, "failures-ring"), (_compute_only, "failures-compute-only")],
+    )
+    def test_runs_under_failures_match_golden(
+        self, platform4_single_site, engine, program, key
+    ):
+        schedule = FailureSchedule(
+            [RankFailure(1, at_time=0.0), RankFailure(3, after_events=5)]
+        )
+        sim = run_spmd(
+            platform4_single_site,
+            program,
+            engine=engine,
+            record_messages=True,
+            failures=schedule,
+        )
+        assert _digest([repr(sim.results), _run_hash(sim)]) == GOLDEN_HASHES[key]
 
     def test_rank_failure_appears_in_the_event_stream(self, platform4_single_site):
         schedule = FailureSchedule([RankFailure(1, after_events=2)])

@@ -24,6 +24,7 @@ from repro.dag.runtime import DAGCAQRConfig, run_dag_caqr
 from repro.gridsim.executor import SPMDExecutor
 from repro.obs.stats import stats_from_events
 from repro.tsqr.parallel import TSQRConfig, qcg_tsqr_program, run_parallel_tsqr
+from tests.gridsim.test_engine_equivalence import GOLDEN_HASHES, _stats_hash
 
 CONFIG = TSQRConfig(m=262_144, n=32, n_domains=4, tree_kind="grid-hierarchical")
 ENGINES = ("coroutine", "threads")
@@ -92,6 +93,11 @@ class TestObserverInvariance:
         assert coro.trace.hot_spots == threads.trace.hot_spots
         assert coro.makespan == threads.makespan
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_snapshot_matches_golden(self, platform8, engine):
+        sim = _tsqr_run(platform8, engine=engine)
+        assert _stats_hash(sim.trace) == GOLDEN_HASHES["stats-spmd-tsqr"]
+
     def test_streaming_off_leaves_the_summary_equal(self, platform8):
         on = _tsqr_run(platform8, engine="coroutine", streaming=True)
         off = _tsqr_run(platform8, engine="coroutine", streaming=False)
@@ -135,6 +141,12 @@ class TestDagRuntime:
         threads = run_dag_caqr(platform8, self.CONFIG, engine="threads")
         assert coro.trace.stats == threads.trace.stats
         assert coro.trace.hot_spots == threads.trace.hot_spots
+
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dag_snapshot_matches_golden(self, platform8, engine):
+        run = run_dag_caqr(platform8, self.CONFIG, engine=engine)
+        assert _stats_hash(run.trace) == GOLDEN_HASHES["stats-dag-caqr"]
 
 
 class TestSnapshotContents:
