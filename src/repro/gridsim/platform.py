@@ -1,4 +1,4 @@
-"""Platform: the bundle of machine, network, placement and kernel model.
+"""Platform description and per-run simulation state.
 
 A :class:`Platform` is everything the simulator needs to know about "where
 this computation runs": the grid hardware description, the network
@@ -6,13 +6,15 @@ characteristics, where each MPI rank was placed by the middleware, and how
 fast each rank executes the dense kernels.  Experiment configurations
 (:mod:`repro.experiments.grid5000`) construct platforms; the SPMD executor
 and the communicator only ever read them.
+
+A :class:`SimulationState` is the mutable side of one run: virtual clocks,
+the trace, the abort flag, injected failures, and the
+:class:`~repro.gridsim.engine.CoroutineScheduler` that drives the ranks.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-
 from typing import Callable, Hashable, Sequence, TypeVar
 
 from repro.exceptions import ConfigurationError
@@ -21,7 +23,6 @@ from repro.gridsim.failures import FailureSchedule, _RankDeath
 from repro.gridsim.kernelmodel import KernelRateModel
 from repro.gridsim.machine import GridSpec
 from repro.gridsim.network import LinkClass, LinkSpec, NetworkModel
-from repro.gridsim.scheduler import VirtualTimeScheduler
 from repro.gridsim.topology import ProcessPlacement
 from repro.gridsim.trace import Trace
 
@@ -71,22 +72,16 @@ class SimulationState:
     """Mutable per-simulation state: virtual clocks, trace, scheduler, abort flag.
 
     One :class:`SimulationState` is created per SPMD run and shared by all
-    ranks.  The state owns the scheduler (and through it the ready set keyed
-    by virtual clock) that admits exactly one runnable rank at a time:
-    the single-threaded
-    :class:`~repro.gridsim.engine.CoroutineScheduler` by default, or the
-    thread-backed
-    :class:`~repro.gridsim.scheduler.VirtualTimeScheduler` reference backend
-    when ``engine="threads"``.
+    ranks.  The state owns the single-threaded
+    :class:`~repro.gridsim.engine.CoroutineScheduler` (and through it the
+    ready set keyed by virtual clock) that runs exactly one rank at a time.
 
-    **Single-writer invariant.**  Because the scheduler admits one rank at a
-    time, clock reads and writes are never concurrent: a rank normally only
-    touches its own clock, collective execution (performed by whichever rank
-    arrives last) updates everyone's while the others are parked, and the
-    executor reads the final clocks only after every rank has finished.
-    Clock access therefore takes **no lock** — on the coroutine backend
-    everything runs on one thread, and on the threads backend the semaphore
-    handoff provides the necessary happens-before edges.
+    **Single-writer invariant.**  Because the scheduler runs one rank at a
+    time on one thread, clock reads and writes are never concurrent: a rank
+    normally only touches its own clock, collective execution (performed by
+    whichever rank arrives last) updates everyone's while the others are
+    parked, and the executor reads the final clocks only after every rank
+    has finished.  Clock access therefore takes no lock.
 
     ``active_ranks`` restricts the scheduled ranks to a subset of the
     platform's processes (the executor's ``ranks=...`` feature); clocks and
@@ -99,7 +94,6 @@ class SimulationState:
         *,
         record_messages: bool = False,
         active_ranks: Sequence[int] | None = None,
-        engine: str = "coroutine",
         failures: FailureSchedule | None = None,
         streaming_stats: bool | None = None,
     ) -> None:
@@ -110,16 +104,12 @@ class SimulationState:
             streaming=streaming_stats,
         )
         self._clocks = [0.0] * platform.n_processes
-        self.abort = threading.Event()
-        #: Plain-bool mirror of the abort event, read on every hot-path abort
-        #: check (an attribute load instead of an Event method call; writes
-        #: only happen in :meth:`record_failure`, under the single-runner
-        #: invariant / before the threads backend wakes anyone).
+        #: Set by :meth:`record_failure`; read on every hot-path abort check.
         self.aborted = False
         self.failure: BaseException | None = None
         #: Injected-failure machinery.  ``failures is None`` (the default)
         #: keeps every hot path on its pre-fault-tolerance branch — the
-        #: engine equivalence suite pins failure-free runs bit-identical.
+        #: golden trace hashes pin failure-free runs bit-identical.
         self.failures = failures
         #: World ranks that have died, and their virtual death times.  A
         #: communicator whose group intersects :attr:`dead_ranks` is
@@ -146,14 +136,7 @@ class SimulationState:
         #: rank reuses it; see :meth:`RankContext.shared`.
         self.memo: dict[Hashable, object] = {}
         ranks = range(platform.n_processes) if active_ranks is None else active_ranks
-        if engine == "coroutine":
-            self.scheduler = CoroutineScheduler(ranks, self)
-        elif engine == "threads":
-            self.scheduler = VirtualTimeScheduler(ranks, self)
-        else:
-            raise ConfigurationError(
-                f"unknown simulation engine {engine!r} (expected 'coroutine' or 'threads')"
-            )
+        self.scheduler = CoroutineScheduler(ranks, self)
 
     def allocate_comm_id(self) -> int:
         """Allocate the next communicator id (deterministic per simulation)."""
@@ -278,8 +261,7 @@ class SimulationState:
         operation entry, park wake-up and compute charge.  A rank dies at
         its *first* checkpoint whose virtual clock is at or past its
         ``at_time``, or at its ``after_events + 1``-th checkpoint — both
-        pure functions of simulation state, hence bit-deterministic on
-        either backend.  Death raises :class:`_RankDeath`, which unwinds
+        pure functions of simulation state, hence bit-deterministic.  Death raises :class:`_RankDeath`, which unwinds
         the rank's program; the engine retires it quietly.
         """
         deadline = self.failures.deadline(rank)
@@ -303,20 +285,19 @@ class SimulationState:
         # Failure-detector broadcast: every parked survivor is requeued (in
         # virtual-clock order, no abort) so it re-checks its wait and
         # observes the revoked communicator.
-        self.scheduler.requeue_blocked()
+        self.scheduler.wake_all_blocked()
         raise _RankDeath(rank)
 
     # --------------------------------------------------------------- abort
     def record_failure(self, exc: BaseException) -> None:
         """Record a failure and set the abort flag without waking anyone.
 
-        Used by the scheduler while it already holds its own lock; everything
-        else should call :meth:`fail`.
+        Used by the scheduler's deadlock detection, which wakes the parked
+        ranks itself; everything else should call :meth:`fail`.
         """
         if self.failure is None:
             self.failure = exc
         self.aborted = True
-        self.abort.set()
 
     def fail(self, exc: BaseException) -> None:
         """Record a rank failure and wake every parked rank so it can raise."""

@@ -35,8 +35,6 @@ from tests.gridsim.test_engine_equivalence import (
     _summary_hash,
 )
 
-BACKENDS = ("coroutine", "threads")
-
 
 def spd_matrix(n: int, *, seed: int = 0) -> np.ndarray:
     a = random_matrix(n, n, seed=seed)
@@ -97,23 +95,20 @@ class TestLostVersionClosure:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: bit-identical factors, every algorithm, both backends
+# End-to-end: bit-identical factors, every algorithm
 # ---------------------------------------------------------------------------
 
 class TestBitIdenticalRecovery:
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_qr_r_is_bit_identical_across_schedules(self, platform4_single_site, engine):
+    def test_qr_r_is_bit_identical_across_schedules(self, platform4_single_site):
         cfg = qr_config()
-        base = run_dag_factorization(platform4_single_site, cfg, engine=engine)
+        base = run_dag_factorization(platform4_single_site, cfg)
         schedules = [
             FailureSchedule([RankFailure(1, at_time=0.0)]),
             FailureSchedule([RankFailure(2, after_events=40)]),
             FailureSchedule([RankFailure(0, at_time=0.001), RankFailure(3, after_events=25)]),
         ]
         for schedule in schedules:
-            res = run_dag_factorization(
-                platform4_single_site, cfg, failures=schedule, engine=engine
-            )
+            res = run_dag_factorization(platform4_single_site, cfg, failures=schedule)
             assert np.array_equal(res.r, base.r)
             assert res.recovery is not None
             assert res.recovery.dead_ranks == schedule.ranks
@@ -189,44 +184,27 @@ class TestBitIdenticalRecovery:
 # ---------------------------------------------------------------------------
 
 class TestDeterminismAndAccounting:
-    def test_repeated_runs_are_bit_deterministic(self, platform4_single_site):
+    def test_repeated_runs_are_bit_deterministic_and_pinned(self, platform4_single_site):
         cfg = qr_config()
         schedule = FailureSchedule([RankFailure(2, after_events=40)])
-        runs = [
+        first, second = (
             run_dag_factorization(
-                platform4_single_site,
-                cfg,
-                failures=schedule,
-                engine=engine,
-                record_messages=True,
+                platform4_single_site, cfg, failures=schedule, record_messages=True
             )
-            for engine in BACKENDS
             for _ in range(2)
-        ]
-        first = runs[0]
-        for other in runs[1:]:
-            assert np.array_equal(other.r, first.r)
-            assert other.makespan_s == first.makespan_s
-            assert other.trace == first.trace
-            assert other.recovery == first.recovery
-            assert other.simulation.events == first.simulation.events
-
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_failing_run_matches_golden(self, platform4_single_site, engine):
-        res = run_dag_factorization(
-            platform4_single_site,
-            qr_config(),
-            failures=FailureSchedule([RankFailure(2, after_events=40)]),
-            engine=engine,
-            record_messages=True,
         )
+        assert np.array_equal(second.r, first.r)
+        assert second.makespan_s == first.makespan_s
+        assert second.trace == first.trace
+        assert second.recovery == first.recovery
+        assert second.simulation.events == first.simulation.events
         digest = _digest(
             [
-                hashlib.sha256(res.r.tobytes()).hexdigest(),
-                repr(res.recovery),
-                res.makespan_s,
-                _summary_hash(res.trace),
-                _run_hash(res.simulation),
+                hashlib.sha256(first.r.tobytes()).hexdigest(),
+                repr(first.recovery),
+                first.makespan_s,
+                _summary_hash(first.trace),
+                _run_hash(first.simulation),
             ]
         )
         assert digest == GOLDEN_HASHES["dag-recovery"]
@@ -289,21 +267,18 @@ class TestDeterminismAndAccounting:
 # ---------------------------------------------------------------------------
 
 class TestSPMDCapabilityGap:
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_same_schedule_kills_spmd_but_not_dag(self, platform4_single_site, engine):
+    def test_same_schedule_kills_spmd_but_not_dag(self, platform4_single_site):
         schedule = FailureSchedule([RankFailure(1, at_time=0.0)])
         a = random_matrix(256, 96, seed=3)
         with pytest.raises(RankFailedError, match="revoked"):
             run_parallel_caqr(
                 platform4_single_site,
                 CAQRConfig(m=256, n=96, tile_size=32, matrix=a),
-                engine=engine,
                 failures=schedule,
             )
         res = run_dag_factorization(
             platform4_single_site,
             DAGCAQRConfig(m=256, n=96, tile_size=32, matrix=a),
-            engine=engine,
             failures=schedule,
         )
         base = run_dag_factorization(

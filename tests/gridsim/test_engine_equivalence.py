@@ -1,24 +1,26 @@
-"""Determinism / equivalence suite for the engine backends.
+"""Golden-value and determinism suite for the simulation engine.
 
-The coroutine engine (single-threaded continuation scheduler, the default)
-and the thread-backed reference engine must produce *bit-identical*
-simulations: the same ordered event stream, final clocks, makespan and
-per-rank results for every program — SPMD TSQR, SPMD CAQR, the DAG runtime
-(probe / yield semantics included), and deadlocking programs (same wait
-graph in the error message).  These tests pin that contract, plus:
+Every simulation is a pure function of its program and platform: the same
+ordered event stream, final clocks, makespan, trace summary and per-rank
+results on every run.  These tests pin that contract with hard-coded
+golden values:
 
-* pooled worker threads vs fresh threads per run (the threads engine's own
-  fast path);
-* repeated runs in one process (pool reuse must not leak state);
-* ``jobs=1`` vs ``jobs=N`` figure sweeps, and event streams produced in a
-  worker process vs the parent process;
-* the ``reuse_threads`` deprecation shim forwarding onto ``engine=``;
+* SPMD TSQR (with and without ``want_q``) and SPMD CAQR runs, DAG Cholesky
+  and LU, the probe / ``yield_turn`` interleaving and the full deadlock
+  wait graph (golden digests captured while a second, thread-per-rank
+  backend still existed and agreed with this engine on every value);
 * the registry refactor contract: the generic graph builder emits tiled-QR
   graphs *identical* (task ids, edges, handles, wire sizes — hard-coded
   golden fingerprints captured from the hand-written builder it replaced)
-  and the runtime's event streams stay bit-identical (golden trace hashes,
-  all placements x priorities), plus coroutine-vs-threads parity for the
-  Cholesky and LU graphs.
+  and the runtime's event streams and summaries stay bit-identical (golden
+  trace hashes, all placements x priorities);
+* repeated runs in one process share no state;
+* ``jobs=1`` vs ``jobs=N`` figure sweeps, and event streams produced in a
+  worker process vs the parent process.
+
+The failure-schedule, recovery and streaming-snapshot pins live in
+:data:`GOLDEN_HASHES` too and are checked by ``test_failures.py``,
+``tests/dag/test_recovery.py`` and ``tests/obs/test_streaming_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import multiprocessing
 
 import pytest
 
-import repro.gridsim.executor as executor_mod
-from repro.exceptions import ConfigurationError, DeadlockError
+from repro.exceptions import DeadlockError
 from repro.dag.runtime import DAGCAQRConfig, run_dag_caqr
 from repro.gridsim.executor import SimulationResult, SPMDExecutor, run_spmd
 from repro.programs.caqr import CAQRConfig, run_parallel_caqr
@@ -69,150 +70,15 @@ def _stats_hash(summary) -> str:
     return _digest([summary.stats.as_dict(), [h.as_dict() for h in summary.hot_spots]])
 
 
-def _run(platform, *, engine: str) -> SimulationResult:
+def _run(platform) -> SimulationResult:
     from repro.tsqr.parallel import qcg_tsqr_program
 
-    executor = SPMDExecutor(platform, record_messages=True, engine=engine)
-    return executor.run(qcg_tsqr_program, CONFIG)
-
-
-def _assert_identical(a: SimulationResult, b: SimulationResult) -> None:
-    assert len(a.events) > 0
-    assert a.events == b.events
-    assert _event_hash(a) == _event_hash(b)
-    assert a.clocks == b.clocks  # bit-identical, no approx
-    assert a.makespan == b.makespan
-    assert a.trace == b.trace
-
-
-class TestCoroutineVsThreads:
-    """The tentpole contract: one event loop, zero threads, same simulation."""
-
-    def test_spmd_tsqr_bit_identical(self, platform8):
-        _assert_identical(
-            _run(platform8, engine="coroutine"), _run(platform8, engine="threads")
-        )
-
-    def test_spmd_caqr_bit_identical(self, platform8):
-        runs = {
-            engine: run_parallel_caqr(
-                platform8, CAQR_CONFIG, record_messages=True, engine=engine
-            ).simulation
-            for engine in ("coroutine", "threads")
-        }
-        _assert_identical(runs["coroutine"], runs["threads"])
-
-    @pytest.mark.parametrize("placement", ["block", "block-cyclic", "owner-computes"])
-    @pytest.mark.parametrize("priority", ["critical-path", "fifo"])
-    def test_dag_caqr_bit_identical(self, platform8, placement, priority):
-        """The DAG runtime leans on probe + yield_turn: both backends must
-        interleave the ranks identically for every placement x priority."""
-        config = DAGCAQRConfig(
-            m=32_768, n=96, tile_size=32, placement=placement, priority=priority
-        )
-        runs = {
-            engine: run_dag_caqr(
-                platform8, config, record_messages=True, engine=engine
-            ).simulation
-            for engine in ("coroutine", "threads")
-        }
-        _assert_identical(runs["coroutine"], runs["threads"])
-
-    def test_results_in_rank_order(self, platform8):
-        coro = _run(platform8, engine="coroutine")
-        threads = _run(platform8, engine="threads")
-        assert [r.rank for r in coro.results] == [r.rank for r in threads.results]
-        assert [r.domain for r in coro.results] == [r.domain for r in threads.results]
-
-    def test_deadlock_wait_graph_identical(self, platform4_single_site):
-        """Both backends must report the same deadlock, rank for rank."""
-
-        def prog(ctx):
-            if ctx.comm.rank < 2:
-                other = 1 - ctx.comm.rank
-                return (yield from ctx.comm.recv(source=other, tag="cycle"))
-            yield from ctx.comm.barrier()
-
-        messages = {}
-        for engine in ("coroutine", "threads"):
-            with pytest.raises(DeadlockError) as excinfo:
-                run_spmd(platform4_single_site, prog, engine=engine)
-            messages[engine] = str(excinfo.value)
-        assert messages["coroutine"] == messages["threads"]
-        assert "rank 0: waiting on recv(source=1" in messages["coroutine"]
-        assert "collective 'barrier'" in messages["coroutine"]
-
-    def test_probe_and_yield_turn_parity(self, platform4_single_site):
-        """Probe visibility and yield_turn interleaving must not depend on
-        the backend: the sampled (clock, arrival) pairs are compared exactly."""
-
-        def prog(ctx):
-            comm = ctx.comm
-            if comm.rank == 1:
-                ctx.compute(1e9, kernel="gemm")
-                comm.send("late", dest=0, tag="m")
-                return None
-            if comm.rank != 0:
-                return None
-            samples = []
-            for _ in range(12):
-                ctx.compute(2e8, kernel="gemm")
-                yield from ctx.yield_turn()
-                samples.append((ctx.clock(), comm.probe(source=1, tag="m")))
-            got = yield from comm.recv(source=1, tag="m")
-            return (got, tuple(samples))
-
-        runs = {
-            engine: run_spmd(platform4_single_site, prog, engine=engine)
-            for engine in ("coroutine", "threads")
-        }
-        assert runs["coroutine"].results == runs["threads"].results
-        assert runs["coroutine"].clocks == runs["threads"].clocks
-
-    def test_unknown_engine_rejected(self, platform8):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            SPMDExecutor(platform8, engine="fibers")
-
-
-class TestReuseThreadsShim:
-    def test_reuse_threads_forwards_with_deprecation_warning(self, platform8):
-        with pytest.deprecated_call():
-            pooled = SPMDExecutor(platform8, reuse_threads=True)
-        assert pooled.engine == "threads"
-        with pytest.deprecated_call():
-            fresh = SPMDExecutor(platform8, reuse_threads=False)
-        assert fresh.engine == "threads-fresh"
-
-    def test_reuse_threads_conflicts_with_engine(self, platform8):
-        with pytest.raises(ConfigurationError, match="reuse_threads"):
-            with pytest.deprecated_call():
-                SPMDExecutor(platform8, engine="coroutine", reuse_threads=True)
-
-
-class TestPooledVsFreshThreads:
-    def test_bit_identical_simulation(self, platform8):
-        _assert_identical(
-            _run(platform8, engine="threads"), _run(platform8, engine="threads-fresh")
-        )
-
-    def test_pool_is_reused_not_regrown(self, platform8):
-        _run(platform8, engine="threads")  # warm: pool holds >= 8 workers
-        spawned = executor_mod._pool.size
-        assert spawned >= platform8.n_processes
-        for _ in range(3):
-            _run(platform8, engine="threads")
-        assert executor_mod._pool.size == spawned
-
-    def test_coroutine_engine_spawns_no_workers(self, platform8):
-        """The default engine must not touch the thread pool at all."""
-        before = executor_mod._pool.size
-        _run(platform8, engine="coroutine")
-        assert executor_mod._pool.size == before
+    return SPMDExecutor(platform, record_messages=True).run(qcg_tsqr_program, CONFIG)
 
 
 class TestRepeatedRunsShareNoState:
     def test_three_consecutive_runs_identical(self, platform8):
-        runs = [_run(platform8, engine="coroutine") for _ in range(3)]
+        runs = [_run(platform8) for _ in range(3)]
         hashes = {_event_hash(sim) for sim in runs}
         assert len(hashes) == 1
         assert runs[0].events == runs[1].events == runs[2].events
@@ -220,13 +86,13 @@ class TestRepeatedRunsShareNoState:
 
     def test_interleaved_configs_do_not_leak(self, platform8):
         """A different simulation between two identical ones changes nothing."""
-        before = _run(platform8, engine="coroutine")
+        before = _run(platform8)
         other = run_parallel_tsqr(
             platform8,
             TSQRConfig(m=131_072, n=16, n_domains=8, tree_kind="binary"),
             record_messages=True,
         ).simulation
-        after = _run(platform8, engine="coroutine")
+        after = _run(platform8)
         assert other.events != before.events  # actually a different schedule
         assert _event_hash(before) == _event_hash(after)
 
@@ -357,21 +223,6 @@ class TestRegistryRefactorEquivalence:
         assert _event_hash(result.simulation) == expected
         assert _summary_hash(result.trace) == SUMMARY_HASHES[policies]
 
-    @pytest.mark.parametrize("algorithm,m,n", [("cholesky", 768, 768), ("lu", 1024, 768)])
-    def test_new_algorithms_bit_identical_across_engines(self, platform8, algorithm, m, n):
-        from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
-
-        config = DAGFactorizationConfig(
-            m=m, n=n, tile_size=128, placement="block-cyclic", algorithm=algorithm
-        )
-        runs = {
-            engine: run_dag_factorization(
-                platform8, config, record_messages=True, engine=engine
-            ).simulation
-            for engine in ("coroutine", "threads")
-        }
-        _assert_identical(runs["coroutine"], runs["threads"])
-
 
 def _deadlock_program(ctx):
     """Ranks 0 and 1 wait on each other; ranks 2 and 3 strand in a barrier."""
@@ -399,47 +250,40 @@ def _probe_yield_program(ctx):
     return (got, tuple(samples))
 
 
-@pytest.mark.parametrize("engine", ["coroutine", "threads"])
 class TestGoldenValues:
-    """Every scenario the backends were cross-checked on, pinned to a golden value."""
+    """SPMD, DAG, probe/yield and deadlock scenarios pinned to golden values."""
 
-    def test_spmd_tsqr(self, platform8, engine):
-        sim = _run(platform8, engine=engine)
+    def test_spmd_tsqr(self, platform8):
+        sim = _run(platform8)
         assert _run_hash(sim) == GOLDEN_HASHES["spmd-tsqr"]
         assert [(r.rank, r.domain) for r in sim.results] == TSQR_RANK_DOMAINS
 
-    def test_spmd_tsqr_want_q(self, platform8, engine):
+    def test_spmd_tsqr_want_q(self, platform8):
         config = dataclasses.replace(CONFIG, want_q=True)
-        sim = run_parallel_tsqr(
-            platform8, config, record_messages=True, engine=engine
-        ).simulation
+        sim = run_parallel_tsqr(platform8, config, record_messages=True).simulation
         assert _run_hash(sim) == GOLDEN_HASHES["spmd-tsqr-want-q"]
 
-    def test_spmd_caqr(self, platform8, engine):
-        sim = run_parallel_caqr(
-            platform8, CAQR_CONFIG, record_messages=True, engine=engine
-        ).simulation
+    def test_spmd_caqr(self, platform8):
+        sim = run_parallel_caqr(platform8, CAQR_CONFIG, record_messages=True).simulation
         assert _run_hash(sim) == GOLDEN_HASHES["spmd-caqr"]
 
     @pytest.mark.parametrize("algorithm,m,n", [("cholesky", 768, 768), ("lu", 1024, 768)])
-    def test_dag_cholesky_and_lu(self, platform8, engine, algorithm, m, n):
+    def test_dag_cholesky_and_lu(self, platform8, algorithm, m, n):
         from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
 
         config = DAGFactorizationConfig(
             m=m, n=n, tile_size=128, placement="block-cyclic", algorithm=algorithm
         )
-        sim = run_dag_factorization(
-            platform8, config, record_messages=True, engine=engine
-        ).simulation
+        sim = run_dag_factorization(platform8, config, record_messages=True).simulation
         assert _run_hash(sim) == GOLDEN_HASHES[f"dag-{algorithm}"]
 
-    def test_deadlock_wait_graph(self, platform4_single_site, engine):
+    def test_deadlock_wait_graph(self, platform4_single_site):
         with pytest.raises(DeadlockError) as excinfo:
-            run_spmd(platform4_single_site, _deadlock_program, engine=engine)
+            run_spmd(platform4_single_site, _deadlock_program)
         assert str(excinfo.value) == DEADLOCK_WAIT_GRAPH
 
-    def test_probe_and_yield_turn_samples(self, platform4_single_site, engine):
-        sim = run_spmd(platform4_single_site, _probe_yield_program, engine=engine)
+    def test_probe_and_yield_turn_samples(self, platform4_single_site):
+        sim = run_spmd(platform4_single_site, _probe_yield_program)
         digest = hashlib.sha256(repr((sim.results, sim.clocks)).encode()).hexdigest()
         assert digest == GOLDEN_HASHES["probe-yield"]
 

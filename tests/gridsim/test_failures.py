@@ -5,7 +5,7 @@ rank at its first failure checkpoint at/past its deadline, the dead rank is
 retired quietly (no abort), survivors touching a communicator containing it
 get :class:`RankFailedError` in virtual time, every death is recorded as a
 ``rank_failure`` trace event — and all of it is bit-deterministic given
-``(program, schedule)`` on both engine backends.
+``(program, schedule)``, pinned by golden digests.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from repro.exceptions import ConfigurationError, RankFailedError
 from repro.gridsim.executor import run_spmd
 from repro.gridsim.failures import FailureSchedule, RankFailure
 from tests.gridsim.test_engine_equivalence import GOLDEN_HASHES, _digest, _run_hash
-
-BACKENDS = ("coroutine", "threads")
 
 
 def _compute_only(ctx):
@@ -72,15 +70,12 @@ class TestFailureSchedule:
 
 
 class TestQuietRetirement:
-    @pytest.mark.parametrize("engine", BACKENDS)
     def test_dead_rank_never_poisons_a_communication_free_run(
-        self, platform4_single_site, engine
+        self, platform4_single_site
     ):
         """A death with no communicator use afterwards: survivors just finish."""
         schedule = FailureSchedule([RankFailure(1, after_events=3)])
-        result = run_spmd(
-            platform4_single_site, _compute_only, engine=engine, failures=schedule
-        )
+        result = run_spmd(platform4_single_site, _compute_only, failures=schedule)
         assert result.results == [0, None, 2, 3]
         summary = result.trace
         # Died at its 4th checkpoint: exactly 3 compute charges landed.
@@ -88,39 +83,27 @@ class TestQuietRetirement:
         assert rank == 1
         assert death_time == result.clocks[1] > 0.0
 
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_at_time_zero_kills_before_any_work(self, platform4_single_site, engine):
+    def test_at_time_zero_kills_before_any_work(self, platform4_single_site):
         schedule = FailureSchedule([RankFailure(2, at_time=0.0)])
-        result = run_spmd(
-            platform4_single_site, _compute_only, engine=engine, failures=schedule
-        )
+        result = run_spmd(platform4_single_site, _compute_only, failures=schedule)
         assert result.results == [0, 1, None, 3]
         assert result.trace.rank_failures == ((2, 0.0),)
         assert result.clocks[2] == 0.0
 
 
 class TestRevokedCommunicators:
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_survivors_observe_rank_failed_error(self, platform4_single_site, engine):
+    def test_survivors_observe_rank_failed_error(self, platform4_single_site):
         """Every survivor of the ring — parked or not — gets RankFailedError."""
         schedule = FailureSchedule([RankFailure(1, at_time=0.0)])
-        result = run_spmd(
-            platform4_single_site, _ring, engine=engine, failures=schedule
-        )
+        result = run_spmd(platform4_single_site, _ring, failures=schedule)
         assert result.results == ["survived", None, "survived", "survived"]
 
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_uncaught_failure_raises_with_precise_type(
-        self, platform4_single_site, engine
-    ):
+    def test_uncaught_failure_raises_with_precise_type(self, platform4_single_site):
         schedule = FailureSchedule([RankFailure(2, at_time=0.1)])
         with pytest.raises(RankFailedError, match="revoked"):
-            run_spmd(
-                platform4_single_site, _two_allreduces, engine=engine, failures=schedule
-            )
+            run_spmd(platform4_single_site, _two_allreduces, failures=schedule)
 
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_detection_happens_in_virtual_time(self, platform4_single_site, engine):
+    def test_detection_happens_in_virtual_time(self, platform4_single_site):
         """A survivor's clock never observes a death before it happened."""
         schedule = FailureSchedule([RankFailure(1, at_time=0.05)])
 
@@ -134,7 +117,7 @@ class TestRevokedCommunicators:
             except RankFailedError:
                 return ctx.clock()
 
-        result = run_spmd(platform4_single_site, prog, engine=engine, failures=schedule)
+        result = run_spmd(platform4_single_site, prog, failures=schedule)
         [(_, death_time)] = result.trace.rank_failures
         assert death_time >= 0.05
         for rank in (0, 2, 3):
@@ -154,52 +137,27 @@ class TestRevokedCommunicators:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("program", [_ring, _compute_only])
-    def test_backends_agree_bit_for_bit_under_failures(
-        self, platform4_single_site, program
-    ):
-        schedule = FailureSchedule(
-            [RankFailure(1, at_time=0.0), RankFailure(3, after_events=5)]
-        )
-        runs = [
-            run_spmd(
-                platform4_single_site,
-                program,
-                engine=engine,
-                record_messages=True,
-                failures=schedule,
-            )
-            for engine in BACKENDS
-            for _ in range(2)  # repeated runs per backend must agree too
-        ]
-        first = runs[0]
-        for other in runs[1:]:
-            assert other.results == first.results
-            assert other.events == first.events
-            assert other.clocks == first.clocks
-            assert other.makespan == first.makespan
-            assert other.trace == first.trace
-            assert other.trace.rank_failures == first.trace.rank_failures
-
-    @pytest.mark.parametrize("engine", BACKENDS)
     @pytest.mark.parametrize(
         "program,key",
         [(_ring, "failures-ring"), (_compute_only, "failures-compute-only")],
     )
-    def test_runs_under_failures_match_golden(
-        self, platform4_single_site, engine, program, key
+    def test_runs_under_failures_are_repeatable_and_pinned(
+        self, platform4_single_site, program, key
     ):
         schedule = FailureSchedule(
             [RankFailure(1, at_time=0.0), RankFailure(3, after_events=5)]
         )
-        sim = run_spmd(
-            platform4_single_site,
-            program,
-            engine=engine,
-            record_messages=True,
-            failures=schedule,
+        first, second = (
+            run_spmd(
+                platform4_single_site, program, record_messages=True, failures=schedule
+            )
+            for _ in range(2)
         )
-        assert _digest([repr(sim.results), _run_hash(sim)]) == GOLDEN_HASHES[key]
+        assert second.results == first.results
+        assert second.events == first.events
+        assert second.clocks == first.clocks
+        assert second.trace == first.trace
+        assert _digest([repr(first.results), _run_hash(first)]) == GOLDEN_HASHES[key]
 
     def test_rank_failure_appears_in_the_event_stream(self, platform4_single_site):
         schedule = FailureSchedule([RankFailure(1, after_events=2)])

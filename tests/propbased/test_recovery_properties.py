@@ -94,24 +94,20 @@ def test_cholesky_recovery_is_bit_identical_for_any_schedule(schedule, seed):
 @given(schedule=failure_schedules())
 def test_failing_runs_are_bit_deterministic(schedule):
     """Two identical runs under the same schedule: identical traces, events,
-    death times and accounting — on both engine backends."""
+    death times and accounting."""
     cfg = DAGCAQRConfig(m=192, n=64, tile_size=32)  # virtual: trace-only
-    runs = [
+    first, second = (
         run_dag_factorization(
             PLATFORM,
             cfg,
             failures=schedule,
-            engine=engine,
             record_messages=True,
             baseline_makespan_s=1.0,
         )
-        for engine in ("coroutine", "threads")
         for _ in range(2)
-    ]
-    first = runs[0]
-    for other in runs[1:]:
-        assert other.makespan_s == first.makespan_s
-        assert other.trace == first.trace
-        assert other.recovery == first.recovery
-        assert other.simulation.events == first.simulation.events
-        assert other.trace.rank_failures == first.trace.rank_failures
+    )
+    assert second.makespan_s == first.makespan_s
+    assert second.trace == first.trace
+    assert second.recovery == first.recovery
+    assert second.simulation.events == first.simulation.events
+    assert second.trace.rank_failures == first.trace.rank_failures

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import threading
 
 import pytest
 
@@ -213,10 +214,36 @@ class TestClientRetry:
 
 
 class TestBurstAcceptance:
+    #: Upper bound on the wait for all 32 queries to reach the service.
+    ARRIVAL_TIMEOUT_S = 30.0
+
     def test_32_query_burst_runs_one_simulation(self, tmp_path):
         """Acceptance: 32 identical cold queries -> 1 simulated answer,
         31 single-flight joins, every reply identical."""
         service = _service(tmp_path)
+        # The simulation must not finish before the last query arrives: a
+        # query arriving after it would be a cache hit, not a join.  Hold
+        # the simulation until all 32 submit() calls have entered.  The
+        # event is set by a callback on the loop thread, which runs only
+        # after the 32nd submit() has registered as a single-flight join.
+        all_arrived = threading.Event()
+        arrived = []
+        timed_out = []
+        submit, run_point = service.submit, service.runner.run_point
+
+        async def counting_submit(config):
+            arrived.append(config)
+            if len(arrived) == 32:
+                asyncio.get_running_loop().call_soon(all_arrived.set)
+            return await submit(config)
+
+        def gated_run_point(spec):
+            if not all_arrived.wait(self.ARRIVAL_TIMEOUT_S):
+                timed_out.append(spec)
+            return run_point(spec)
+
+        service.submit = counting_submit
+        service.runner.run_point = gated_run_point
 
         async def scenario():
             server = await service.serve("127.0.0.1", 0)
@@ -230,6 +257,10 @@ class TestBurstAcceptance:
                 await server.wait_closed()
 
         replies = asyncio.run(scenario())
+        assert not timed_out, (
+            f"only {len(arrived)} of 32 queries reached the service within "
+            f"{self.ARRIVAL_TIMEOUT_S}s"
+        )
         sources = sorted(r["source"] for r in replies)
         assert sources.count("simulated") == 1
         assert sources.count("single-flight") == 31
