@@ -99,22 +99,25 @@ class TestLostVersionClosure:
 # ---------------------------------------------------------------------------
 
 class TestBitIdenticalRecovery:
-    def test_qr_r_is_bit_identical_across_schedules(self, platform4_single_site):
-        cfg = qr_config()
-        base = run_dag_factorization(platform4_single_site, cfg)
-        schedules = [
+    @pytest.mark.parametrize(
+        "schedule",
+        [
             FailureSchedule([RankFailure(1, at_time=0.0)]),
             FailureSchedule([RankFailure(2, after_events=40)]),
             FailureSchedule([RankFailure(0, at_time=0.001), RankFailure(3, after_events=25)]),
-        ]
-        for schedule in schedules:
-            res = run_dag_factorization(platform4_single_site, cfg, failures=schedule)
-            assert np.array_equal(res.r, base.r)
-            assert res.recovery is not None
-            assert res.recovery.dead_ranks == schedule.ranks
-            assert res.recovery.tasks_executed > 0
-            assert res.recovery.makespan_s == res.makespan_s
-            assert res.recovery.makespan_overhead_s > 0.0
+        ],
+        ids=["rank1-at-start", "rank2-after-40", "rank0-and-rank3"],
+    )
+    def test_qr_r_is_bit_identical_across_schedules(self, platform4_single_site, schedule):
+        cfg = qr_config()
+        base = run_dag_factorization(platform4_single_site, cfg)
+        res = run_dag_factorization(platform4_single_site, cfg, failures=schedule)
+        assert np.array_equal(res.r, base.r)
+        assert res.recovery is not None
+        assert res.recovery.dead_ranks == schedule.ranks
+        assert res.recovery.tasks_executed > 0
+        assert res.recovery.makespan_s == res.makespan_s
+        assert res.recovery.makespan_overhead_s > 0.0
 
     @pytest.mark.parametrize(
         "algorithm,matrix",
@@ -267,8 +270,9 @@ class TestDeterminismAndAccounting:
 # ---------------------------------------------------------------------------
 
 class TestSPMDCapabilityGap:
-    def test_same_schedule_kills_spmd_but_not_dag(self, platform4_single_site):
-        schedule = FailureSchedule([RankFailure(1, at_time=0.0)])
+    @pytest.mark.parametrize("victim", range(4))
+    def test_same_schedule_kills_spmd_but_not_dag(self, platform4_single_site, victim):
+        schedule = FailureSchedule([RankFailure(victim, at_time=0.0)])
         a = random_matrix(256, 96, seed=3)
         with pytest.raises(RankFailedError, match="revoked"):
             run_parallel_caqr(

@@ -15,6 +15,8 @@ golden values:
   and the runtime's event streams and summaries stay bit-identical (golden
   trace hashes, all placements x priorities);
 * repeated runs in one process share no state;
+* there is one engine: ranks run on the caller's thread, no run starts a
+  thread, and no entry point takes an ``engine=`` option;
 * ``jobs=1`` vs ``jobs=N`` figure sweeps, and event streams produced in a
   worker process vs the parent process.
 
@@ -27,8 +29,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
+import inspect
 import json
 import multiprocessing
+import threading
 
 import pytest
 
@@ -256,7 +261,6 @@ class TestGoldenValues:
     def test_spmd_tsqr(self, platform8):
         sim = _run(platform8)
         assert _run_hash(sim) == GOLDEN_HASHES["spmd-tsqr"]
-        assert [(r.rank, r.domain) for r in sim.results] == TSQR_RANK_DOMAINS
 
     def test_spmd_tsqr_want_q(self, platform8):
         config = dataclasses.replace(CONFIG, want_q=True)
@@ -286,6 +290,87 @@ class TestGoldenValues:
         sim = run_spmd(platform4_single_site, _probe_yield_program)
         digest = hashlib.sha256(repr((sim.results, sim.clocks)).encode()).hexdigest()
         assert digest == GOLDEN_HASHES["probe-yield"]
+
+
+def _rank_thread_program(ctx):
+    """Each rank reports the thread it runs on, before and after a collective."""
+    before = threading.get_ident()
+    yield from ctx.comm.barrier()
+    return (before, threading.get_ident())
+
+
+def _entry_points():
+    from repro.dag.runtime import run_dag_factorization, run_dag_tsqr
+    from repro.gridsim.platform import SimulationState
+    from repro.programs.spmd import run_program
+    from repro.scalapack.driver import run_scalapack_qr
+
+    return {
+        "SPMDExecutor": SPMDExecutor,
+        "run_spmd": run_spmd,
+        "SimulationState": SimulationState,
+        "run_program": run_program,
+        "run_parallel_tsqr": run_parallel_tsqr,
+        "run_parallel_caqr": run_parallel_caqr,
+        "run_scalapack_qr": run_scalapack_qr,
+        "run_dag_factorization": run_dag_factorization,
+        "run_dag_caqr": run_dag_caqr,
+        "run_dag_tsqr": run_dag_tsqr,
+    }
+
+
+def _run_scalapack(platform):
+    from repro.scalapack.driver import ScaLAPACKConfig, run_scalapack_qr
+
+    return run_scalapack_qr(platform, ScaLAPACKConfig(m=65_536, n=64))
+
+
+#: One representative run per runtime layer that drives the engine.
+RUNNERS = {
+    "spmd-tsqr": lambda platform: run_parallel_tsqr(platform, CONFIG),
+    "spmd-caqr": lambda platform: run_parallel_caqr(platform, CAQR_CONFIG),
+    "scalapack": _run_scalapack,
+    "dag-caqr": lambda platform: run_dag_caqr(
+        platform, DAGCAQRConfig(m=1024, n=256, tile_size=64)
+    ),
+}
+
+
+class TestSingleEngine:
+    """One engine: every rank is a generator driven on the caller's thread."""
+
+    def test_results_in_rank_order(self, platform8):
+        sim = _run(platform8)
+        assert [(r.rank, r.domain) for r in sim.results] == TSQR_RANK_DOMAINS
+
+    def test_ranks_run_on_the_calling_thread(self, platform4_single_site):
+        sim = run_spmd(platform4_single_site, _rank_thread_program)
+        caller = threading.get_ident()
+        assert sim.results == [(caller, caller)] * 4
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_runs_start_no_threads(self, platform8, monkeypatch, runner):
+        before = threading.active_count()
+
+        def refuse(thread):
+            raise AssertionError(f"the engine started a thread: {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = RUNNERS[runner](platform8)
+        assert result.makespan_s > 0.0
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("name", sorted(_entry_points()))
+    def test_entry_points_take_no_engine_option(self, name):
+        params = inspect.signature(_entry_points()[name]).parameters
+        assert "engine" not in params
+        assert "reuse_threads" not in params
+
+    def test_threads_backend_is_gone(self):
+        import repro.gridsim.executor as executor_mod
+
+        assert importlib.util.find_spec("repro.gridsim.scheduler") is None
+        assert not hasattr(executor_mod, "ENGINES")
 
 
 def _make_platform8():

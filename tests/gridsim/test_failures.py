@@ -17,6 +17,10 @@ from repro.gridsim.executor import run_spmd
 from repro.gridsim.failures import FailureSchedule, RankFailure
 from tests.gridsim.test_engine_equivalence import GOLDEN_HASHES, _digest, _run_hash
 
+#: Event recording is an observer: every failure outcome must hold with it
+#: off (the default) and on.
+recording = pytest.mark.parametrize("record", [False, True], ids=["bare", "recorded"])
+
 
 def _compute_only(ctx):
     """Plain (never-blocking) program: ten compute charges, no communication."""
@@ -70,12 +74,15 @@ class TestFailureSchedule:
 
 
 class TestQuietRetirement:
+    @recording
     def test_dead_rank_never_poisons_a_communication_free_run(
-        self, platform4_single_site
+        self, platform4_single_site, record
     ):
         """A death with no communicator use afterwards: survivors just finish."""
         schedule = FailureSchedule([RankFailure(1, after_events=3)])
-        result = run_spmd(platform4_single_site, _compute_only, failures=schedule)
+        result = run_spmd(
+            platform4_single_site, _compute_only, record_messages=record, failures=schedule
+        )
         assert result.results == [0, None, 2, 3]
         summary = result.trace
         # Died at its 4th checkpoint: exactly 3 compute charges landed.
@@ -83,27 +90,42 @@ class TestQuietRetirement:
         assert rank == 1
         assert death_time == result.clocks[1] > 0.0
 
-    def test_at_time_zero_kills_before_any_work(self, platform4_single_site):
+    @recording
+    def test_at_time_zero_kills_before_any_work(self, platform4_single_site, record):
         schedule = FailureSchedule([RankFailure(2, at_time=0.0)])
-        result = run_spmd(platform4_single_site, _compute_only, failures=schedule)
+        result = run_spmd(
+            platform4_single_site, _compute_only, record_messages=record, failures=schedule
+        )
         assert result.results == [0, 1, None, 3]
         assert result.trace.rank_failures == ((2, 0.0),)
         assert result.clocks[2] == 0.0
 
 
 class TestRevokedCommunicators:
-    def test_survivors_observe_rank_failed_error(self, platform4_single_site):
+    @recording
+    def test_survivors_observe_rank_failed_error(self, platform4_single_site, record):
         """Every survivor of the ring — parked or not — gets RankFailedError."""
         schedule = FailureSchedule([RankFailure(1, at_time=0.0)])
-        result = run_spmd(platform4_single_site, _ring, failures=schedule)
+        result = run_spmd(
+            platform4_single_site, _ring, record_messages=record, failures=schedule
+        )
         assert result.results == ["survived", None, "survived", "survived"]
 
-    def test_uncaught_failure_raises_with_precise_type(self, platform4_single_site):
+    @recording
+    def test_uncaught_failure_raises_with_precise_type(
+        self, platform4_single_site, record
+    ):
         schedule = FailureSchedule([RankFailure(2, at_time=0.1)])
         with pytest.raises(RankFailedError, match="revoked"):
-            run_spmd(platform4_single_site, _two_allreduces, failures=schedule)
+            run_spmd(
+                platform4_single_site,
+                _two_allreduces,
+                record_messages=record,
+                failures=schedule,
+            )
 
-    def test_detection_happens_in_virtual_time(self, platform4_single_site):
+    @recording
+    def test_detection_happens_in_virtual_time(self, platform4_single_site, record):
         """A survivor's clock never observes a death before it happened."""
         schedule = FailureSchedule([RankFailure(1, at_time=0.05)])
 
@@ -117,7 +139,9 @@ class TestRevokedCommunicators:
             except RankFailedError:
                 return ctx.clock()
 
-        result = run_spmd(platform4_single_site, prog, failures=schedule)
+        result = run_spmd(
+            platform4_single_site, prog, record_messages=record, failures=schedule
+        )
         [(_, death_time)] = result.trace.rank_failures
         assert death_time >= 0.05
         for rank in (0, 2, 3):

@@ -18,13 +18,26 @@ tests pin the equivalence contract from three directions:
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.dag.runtime import DAGCAQRConfig, run_dag_caqr
 from repro.gridsim.executor import SPMDExecutor
 from repro.obs.stats import stats_from_events
+from repro.programs.caqr import CAQRConfig, caqr_program
+from repro.scalapack.driver import ScaLAPACKConfig, scalapack_qr_program
 from repro.tsqr.parallel import TSQRConfig, qcg_tsqr_program, run_parallel_tsqr
 from tests.gridsim.test_engine_equivalence import GOLDEN_HASHES, _stats_hash
 
 CONFIG = TSQRConfig(m=262_144, n=32, n_domains=4, tree_kind="grid-hierarchical")
+
+#: The three SPMD factorizations of the paper, each a small virtual run.
+PROGRAMS = {
+    "tsqr": (qcg_tsqr_program, CONFIG),
+    "caqr": (caqr_program, CAQRConfig(m=65_536, n=64, tile_size=64)),
+    "scalapack": (scalapack_qr_program, ScaLAPACKConfig(m=65_536, n=64)),
+}
 
 #: Snapshot fields an event replay can reconstruct exactly.
 REPLAYABLE = (
@@ -43,9 +56,15 @@ def _tsqr_run(platform, *, record=False, streaming=None):
     return executor.run(qcg_tsqr_program, CONFIG)
 
 
+def _spmd_run(platform, name, *, record=False):
+    program, config = PROGRAMS[name]
+    return SPMDExecutor(platform, record_messages=record).run(program, config)
+
+
 class TestReplayEquivalence:
-    def test_online_matches_event_recomputation(self, platform8):
-        sim = _tsqr_run(platform8, record=True)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_online_matches_event_recomputation(self, platform8, name):
+        sim = _spmd_run(platform8, name, record=True)
         online = sim.trace.stats
         assert online is not None
         replayed = stats_from_events(
@@ -54,8 +73,9 @@ class TestReplayEquivalence:
         for name in REPLAYABLE:
             assert getattr(online, name) == getattr(replayed, name), name
 
-    def test_traffic_counts_match_event_recomputation(self, platform8):
-        sim = _tsqr_run(platform8, record=True)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_traffic_counts_match_event_recomputation(self, platform8, name):
+        sim = _spmd_run(platform8, name, record=True)
         online = sim.trace.stats.link_traffic
         replayed = stats_from_events(
             sim.events, n_ranks=platform8.n_processes, makespan=sim.makespan
@@ -71,9 +91,10 @@ class TestReplayEquivalence:
 
 
 class TestObserverInvariance:
-    def test_recording_does_not_change_the_snapshot(self, platform8):
-        recorded = _tsqr_run(platform8, record=True)
-        bare = _tsqr_run(platform8, record=False)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_recording_does_not_change_the_snapshot(self, platform8, name):
+        recorded = _spmd_run(platform8, name, record=True)
+        bare = _spmd_run(platform8, name, record=False)
         assert bare.trace.stats == recorded.trace.stats
         assert bare.trace.hot_spots == recorded.trace.hot_spots
         assert bare.events == []  # non-recording runs retain no event list
@@ -106,8 +127,10 @@ class TestObserverInvariance:
 class TestDagRuntime:
     CONFIG = DAGCAQRConfig(m=1024, n=256, tile_size=64)  # matrix None: virtual
 
-    def test_dag_online_matches_event_recomputation(self, platform8):
-        run = run_dag_caqr(platform8, self.CONFIG, record_messages=True)
+    @pytest.mark.parametrize("placement", ["block", "block-cyclic", "owner-computes"])
+    def test_dag_online_matches_event_recomputation(self, platform8, placement):
+        config = dataclasses.replace(self.CONFIG, placement=placement)
+        run = run_dag_caqr(platform8, config, record_messages=True)
         sim = run.simulation
         online = run.trace.stats
         assert online is not None
