@@ -2,8 +2,12 @@
 
 Every benchmark regenerates one table or figure of the paper's evaluation
 (§V) on the simulated Grid'5000 platform, prints the resulting series next to
-the paper's approximate values, and stores the raw numbers as CSV under
-``results/``.
+the paper's approximate values, and stores the raw numbers as CSV in the
+benchmark output directory.  That directory is a per-session scratch
+directory, so an ordinary test run leaves the committed ``results/`` files
+alone; ``REPRO_BENCH_RECORD=1`` writes to ``results/`` instead, to record new
+CSVs and ``BENCH_*.json`` trajectories.  Regression gates always load their
+baselines from the committed ``results/``.
 
 Two sweep sizes are supported:
 
@@ -32,8 +36,14 @@ from repro.experiments.report import ascii_series, ascii_table, format_points, w
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.workloads import PAPER_N_VALUES, paper_m_values, reduced_m_values
 
-#: Directory where benchmark outputs (CSV series) are written.
+#: Committed benchmark outputs: the CSV series and the ``BENCH_*.json``
+#: baselines the regression gates load.
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+
+def recording() -> bool:
+    """True when this run should rewrite the committed ``results/`` files."""
+    return os.environ.get("REPRO_BENCH_RECORD", "0") not in ("", "0", "false", "False")
 
 
 def full_sweep() -> bool:
@@ -76,8 +86,10 @@ def runner() -> ExperimentRunner:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Directory for CSV outputs, created on demand."""
+def results_dir(tmp_path_factory) -> Path:
+    """Output directory: ``results/`` when recording, else a session scratch dir."""
+    if not recording():
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 
@@ -112,10 +124,9 @@ def bench_json_path(name: str, results_dir: Path = RESULTS_DIR) -> Path:
 def load_bench_json(name: str, results_dir: Path = RESULTS_DIR) -> dict | None:
     """Read a previously recorded trajectory, or None when absent/corrupt.
 
-    The recorded file is the regression baseline: a perf benchmark loads it
-    *before* overwriting, derives its gate limit from the loaded copy, and
-    records that baseline next to the fresh numbers in the new file — so a
-    failing run's artifact shows both, and git keeps the committed baseline.
+    The committed file is the regression baseline: a perf benchmark derives
+    its gate limit from it and records that baseline next to the fresh
+    numbers in the file it writes — so a failing run's artifact shows both.
     """
     path = bench_json_path(name, results_dir)
     if not path.exists():

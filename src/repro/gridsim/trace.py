@@ -6,15 +6,11 @@ The simulator therefore keeps, for every rank, counters broken down by link
 class and kernel, and the benchmark harness compares the measured counts to
 the analytic formulas of :mod:`repro.model.costs`.
 
-**Single-writer, lock-free recording.**  Under the virtual-time cooperative
-scheduler exactly one rank runs at a time, on one thread, so
+**Single-writer recording.**  Under the virtual-time cooperative scheduler
+exactly one rank runs at a time, on one thread, so
 :meth:`Trace.record_message` / :meth:`Trace.record_flops` are never called
-concurrently.  The hot recording path therefore takes **no lock**: counters
-are pre-seeded plain dictionaries (one slot per :class:`LinkClass`,
-allocated once in the constructor rather than through a ``defaultdict`` miss
-in the hot path) and flat per-rank lists.  A lock is retained only for the aggregation
-boundaries — :meth:`summary` and :meth:`reset` — which may be called from
-the harness thread around a run.
+concurrently and take no lock.  Counters are flat lists indexed by
+:attr:`LinkClass.index` and by rank, allocated once in the constructor.
 
 Because events are appended in a single global order that is a pure function
 of the simulated program, two identical runs produce identical ``events``
@@ -22,19 +18,25 @@ streams (and therefore byte-identical summaries), which the determinism
 tests assert.
 
 **Streaming statistics.**  Independently of event recording, the trace feeds
-a :class:`~repro.obs.stats.StreamingTraceStats` observer inline from the same
+a :class:`~repro.obs.stats.StreamingTraceStats` observer from the same
 single-writer hot path (``streaming=True``, the default): log-bucketed
 latency/size/flop histograms, windowed busy/wait timelines and contention
-hot spots, all in fixed memory with no event list.  The observer never feeds
-back into pricing or scheduling — pinned trace hashes are untouched — and it
-can be switched off (``streaming=False`` or ``REPRO_STREAMING_STATS=0``) for
-overhead measurements.
+hot spots, in bounded memory.  Per event the trace only appends a tuple to
+the observer's pending buffer; the observer folds the buffer into its
+accumulators when the hot spots or the snapshot are read or the buffer is
+full.  The trace's counters are the only message/byte/flop totals; the
+observer keeps what they cannot give.  :meth:`Trace.summary` hands the
+observer to the :class:`TraceSummary`, which builds
+:attr:`~TraceSummary.hot_spots` and :attr:`~TraceSummary.stats` only when
+they are first read.  The observer never feeds back into pricing or
+scheduling — pinned trace hashes are untouched — and it can be switched off
+(``streaming=False`` or ``REPRO_STREAMING_STATS=0``) for overhead
+measurements.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 from repro.gridsim.network import LinkClass
@@ -88,17 +90,44 @@ class TraceSummary:
     #: death order.  Empty for runs without a failure schedule, so summaries
     #: of failure-free runs compare equal to pre-fault-tolerance ones.
     rank_failures: tuple[tuple[int, float], ...] = ()
-    #: Top-K contention sites by accumulated p2p wait time (streaming
-    #: observability; empty when streaming stats are off).  Excluded from
-    #: equality so summaries round-tripped through the persistent cache —
-    #: which serialises the spots but not the full snapshot — and summaries
-    #: from streaming-off runs still compare equal.
-    hot_spots: tuple[HotSpot, ...] = field(default=(), compare=False)
-    #: Full streaming snapshot (histograms, timelines, link traffic) for
-    #: live runs; None when streaming is off or the summary was rebuilt from
-    #: the persistent cache.  Observer output only — excluded from equality
-    #: and repr like :attr:`hot_spots`.
-    stats: TraceStats | None = field(default=None, compare=False, repr=False)
+    #: The streaming observer :attr:`hot_spots` and :attr:`stats` are built
+    #: from on first read (then dropped); None when streaming is off.
+    _observer: StreamingTraceStats | None = field(default=None, compare=False, repr=False)
+    #: Top-K hot spots, built on first read; a summary rebuilt from the
+    #: persistent cache is constructed with them.
+    _hot_spots: tuple[HotSpot, ...] | None = field(default=None, compare=False, repr=False)
+    _stats: TraceStats | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def hot_spots(self) -> tuple[HotSpot, ...]:
+        """Top-K contention sites by accumulated p2p wait time.
+
+        Streaming observability: empty when streaming stats are off.  Not
+        part of equality, so summaries round-tripped through the persistent
+        cache — which serialises the spots but not the full snapshot — and
+        summaries from streaming-off runs still compare equal.
+        """
+        if self._hot_spots is None:
+            observer = self._observer
+            self._hot_spots = observer.top_hotspots() if observer is not None else ()
+        return self._hot_spots
+
+    @property
+    def stats(self) -> TraceStats | None:
+        """Full streaming snapshot (histograms, timelines, link traffic).
+
+        Built from the observer on first read and cached, so a run whose
+        snapshot nobody reads never folds its events.  None when streaming
+        is off or the summary was rebuilt from the persistent cache.
+        Observer output only: not part of equality or repr, like
+        :attr:`hot_spots`.  While unread, the summary pickles with its
+        observer (for ``jobs > 1`` sweeps) and builds the same snapshot on
+        the other side.
+        """
+        if self._observer is not None:
+            self._stats = self._observer.snapshot(self)  # reads hot_spots too
+            self._observer = None
+        return self._stats
 
     def idle_s_per_rank(self, makespan: float) -> tuple[float, ...]:
         """Per-rank idle seconds: makespan minus compute minus p2p waits.
@@ -161,18 +190,15 @@ class Trace:
     ) -> None:
         self.n_ranks = n_ranks
         self.record_messages = record_messages
-        if streaming is None:
-            streaming = _streaming_default()
+        self._streaming = _streaming_default() if streaming is None else streaming
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear all counters and start a fresh observer."""
+        n_ranks = self.n_ranks
         self.stats: StreamingTraceStats | None = (
-            StreamingTraceStats(n_ranks) if streaming else None
+            StreamingTraceStats(n_ranks) if self._streaming else None
         )
-        # Bound-method caches: one attribute load on the hot path instead of
-        # two, and a plain None test when streaming is off.
-        self._on_message = self.stats.on_message if streaming else None
-        self._on_flops = self.stats.on_flops if streaming else None
-        # Guards summary()/reset() boundaries only; recording is lock-free
-        # (single-writer under the cooperative scheduler).
-        self._lock = threading.Lock()
         self.messages: list[MessageRecord] = []
         #: Ordered event stream: ``("message", MessageRecord)`` and
         #: ``("flops", rank, flops, kernel)`` tuples in execution order (kept
@@ -181,9 +207,7 @@ class Trace:
         self.events: list[tuple] = []
         # Flat per-link slots indexed by ``LinkClass.index``: the hot path is
         # a C-level list increment, never an enum-hashing dict lookup.
-        # summary() exports only links that carried at least one message,
-        # matching the lazily-created dictionaries of the previous
-        # implementation bit for bit.
+        # summary() exports only links that carried at least one message.
         self._msg_count: list[int] = [0] * len(LinkClass)
         self._bytes: list[int] = [0] * len(LinkClass)
         self._msgs_per_rank = [0] * n_ranks
@@ -231,10 +255,12 @@ class Trace:
         if link is LinkClass.INTER_CLUSTER:
             self._inter_msgs_per_rank[source] += 1
             self._inter_msgs_per_rank[dest] += 1
-        if self._on_message is not None:
-            self._on_message(
-                source, dest, nbytes, idx, tag, send_time, recv_time, wait_s
-            )
+        st = self.stats
+        if st is not None:
+            pending = st.pending
+            pending.append((source, dest, nbytes, idx, tag, send_time, recv_time, wait_s))
+            if len(pending) >= st.max_pending:
+                st.fold()
         if self.record_messages:
             record = MessageRecord(
                 source, dest, nbytes, link, tag, send_time, recv_time
@@ -267,8 +293,12 @@ class Trace:
         kernels = self._flops_by_kernel
         kernels[kernel] = kernels.get(kernel, 0.0) + flops
         self._flop_events += 1
-        if self._on_flops is not None:
-            self._on_flops(rank, flops, kernel, seconds, end_time)
+        st = self.stats
+        if st is not None:
+            pending = st.pending
+            pending.append((rank, flops, kernel, seconds, end_time))
+            if len(pending) >= st.max_pending:
+                st.fold()
         if self.record_messages:
             self.events.append(("flops", rank, flops, kernel))
 
@@ -309,52 +339,25 @@ class Trace:
         return self._flops_per_rank[rank]
 
     def summary(self) -> TraceSummary:
-        """Return an immutable aggregate snapshot of the trace."""
-        with self._lock:
-            # Export only links that carried messages, so the summary is
-            # identical to the one the lazily-populated counters produced.
-            return TraceSummary(
-                n_messages={
-                    k.value: self._msg_count[k.index]
-                    for k in LinkClass
-                    if self._msg_count[k.index]
-                },
-                bytes_by_link={
-                    k.value: self._bytes[k.index]
-                    for k in LinkClass
-                    if self._msg_count[k.index]
-                },
-                messages_per_rank_max=max(self._msgs_per_rank, default=0),
-                inter_cluster_messages_per_rank_max=max(self._inter_msgs_per_rank, default=0),
-                total_flops=float(sum(self._flops_per_rank)),
-                flops_per_rank_max=float(max(self._flops_per_rank, default=0.0)),
-                flops_by_kernel=dict(self._flops_by_kernel),
-                flop_events=self._flop_events,
-                busy_s_per_rank=tuple(self._busy_s_per_rank),
-                comm_wait_s_per_rank=tuple(self._comm_wait_s_per_rank),
-                rank_failures=tuple(self.rank_failures),
-                hot_spots=(
-                    self.stats.top_hotspots() if self.stats is not None else ()
-                ),
-                stats=self.stats.snapshot() if self.stats is not None else None,
-            )
+        """Aggregate the finished trace.
 
-    def reset(self) -> None:
-        """Clear all counters (used between benchmark repetitions)."""
-        with self._lock:
-            self.messages.clear()
-            self.events.clear()
-            self._msg_count = [0] * len(LinkClass)
-            self._bytes = [0] * len(LinkClass)
-            self._msgs_per_rank = [0] * self.n_ranks
-            self._inter_msgs_per_rank = [0] * self.n_ranks
-            self._flops_per_rank = [0.0] * self.n_ranks
-            self._flops_by_kernel = {}
-            self._flop_events = 0
-            self._busy_s_per_rank = [0.0] * self.n_ranks
-            self._comm_wait_s_per_rank = [0.0] * self.n_ranks
-            self.rank_failures = []
-            if self.stats is not None:
-                self.stats = StreamingTraceStats(self.n_ranks)
-                self._on_message = self.stats.on_message
-                self._on_flops = self.stats.on_flops
+        Taken once, when the run is over: the summary keeps the streaming
+        observer and builds its hot spots and snapshot from it on first
+        read, so events recorded after that read are not in them.
+        """
+        # Export only links that carried messages.
+        links = [k for k in LinkClass if self._msg_count[k.index]]
+        return TraceSummary(
+            n_messages={k.value: self._msg_count[k.index] for k in links},
+            bytes_by_link={k.value: self._bytes[k.index] for k in links},
+            messages_per_rank_max=max(self._msgs_per_rank, default=0),
+            inter_cluster_messages_per_rank_max=max(self._inter_msgs_per_rank, default=0),
+            total_flops=float(sum(self._flops_per_rank)),
+            flops_per_rank_max=float(max(self._flops_per_rank, default=0.0)),
+            flops_by_kernel=dict(self._flops_by_kernel),
+            flop_events=self._flop_events,
+            busy_s_per_rank=tuple(self._busy_s_per_rank),
+            comm_wait_s_per_rank=tuple(self._comm_wait_s_per_rank),
+            rank_failures=tuple(self.rank_failures),
+            _observer=self.stats,
+        )

@@ -1,19 +1,21 @@
 """Streaming observability: fixed-memory statistics for simulations at scale.
 
 This package is the always-on alternative to ``record_messages=True``: the
-trace layer feeds :class:`~repro.obs.stats.StreamingTraceStats` inline from
-its single-writer hot path, so latency/size percentiles, per-rank busy/wait
+trace layer feeds :class:`~repro.obs.stats.StreamingTraceStats` from its
+single-writer hot path, so latency/size percentiles, per-rank busy/wait
 timelines and contention hot spots are available for *every* run — including
-4096+-rank sweeps where retaining event tuples is unaffordable — in memory
-bounded by O(ranks x windows + histogram buckets), independent of event
-count.
+4096+-rank sweeps where retaining event lists is unaffordable — in memory
+bounded by O(ranks x windows + histogram buckets) plus a bounded buffer of
+unfolded events, independent of event count.  The statistics are built when
+first read; a run whose statistics nobody reads pays one append per event.
 
 Sub-modules:
 
 * :mod:`repro.obs.stats` — log-bucketed histograms, hot-spot accounting,
   the :class:`~repro.obs.stats.TraceStats` snapshot, and the event-replay
   recomputation used by the equivalence tests.
-* :mod:`repro.obs.timeline` — width-doubling windowed timelines.
+* :mod:`repro.obs.timeline` — width-doubling windowed timelines in flat
+  per-series arrays.
 * :mod:`repro.obs.export` — Chrome-trace/Perfetto JSON and CSV emitters.
 * :mod:`repro.obs.metrics` — wall-clock service-tier metrics.
 """

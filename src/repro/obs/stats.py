@@ -8,7 +8,7 @@ notion of *where* the waiting happened.  Historically those questions required
 which is exactly what large sweeps cannot afford.
 
 This module provides the always-on alternative: :class:`StreamingTraceStats`
-is fed inline by the single-writer hot path of
+is fed by the single-writer hot path of
 :meth:`~repro.gridsim.trace.Trace.record_message` /
 :meth:`~repro.gridsim.trace.Trace.record_flops` and maintains
 
@@ -24,26 +24,40 @@ is fed inline by the single-writer hot path of
 * **per-(link, traffic-class) totals** separating collective phases
   (barrier/bcast/reduce/...) from point-to-point traffic.
 
+**Pay when read.**  Per event the hot path appends one tuple to the
+observer's bounded pending buffer.  :meth:`StreamingTraceStats.fold` replays
+the buffer into the accumulators when the hot spots or the snapshot are
+first read (``TraceSummary.hot_spots`` / ``TraceSummary.stats``) or when the
+buffer holds about as much as the timelines would; the timeline arrays are
+allocated at the first fold.  A run whose statistics nobody reads pays for
+the appends and, if it has many events per rank, for folds as it goes;
+memory stays O(ranks x windows + histogram buckets), with no event list.
+
 Everything is a pure *observer*: the statistics never feed back into
-scheduling or pricing, so pinned trace hashes are unaffected, and every
-structure is bounded — no per-event allocation, no event list.
+scheduling or pricing, so pinned trace hashes are unaffected.
 
 Determinism: under the cooperative scheduler the record calls arrive in a
-single global order that is a pure function of the simulated program, so two
-identical runs (with or without event recording)
-produce bit-identical snapshots.  The bucket transforms (``int.bit_length``,
-``math.frexp``) and the integer bucket counts are exact; the windowed
-timelines fold by exact index halving (see :mod:`repro.obs.timeline`), so the
-same guarantee extends to them.
+single global order that is a pure function of the simulated program, and
+folds replay that order exactly, so two identical runs (with or without
+event recording, whenever their folds happen) produce bit-identical
+snapshots.  The bucket transforms (``int.bit_length``, ``math.frexp``) and
+the integer bucket counts are exact; the windowed timelines fold by exact
+index halving (see :mod:`repro.obs.timeline`), so the same guarantee extends
+to them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from math import frexp
+from typing import TYPE_CHECKING
 
 from repro.gridsim.network import LinkClass
 from repro.obs.timeline import WindowedTimeline
+
+if TYPE_CHECKING:
+    from repro.gridsim.trace import TraceSummary
 
 __all__ = [
     "COLLECTIVE_TAGS",
@@ -69,19 +83,21 @@ class LogHistogram:
     ``math.frexp(x)[1]`` for floats and ``x.bit_length()`` for non-negative
     integers (the two agree on common magnitudes).  Buckets live in a plain
     dict keyed by exponent, so any magnitude — including sub-second latencies
-    with negative exponents — is representable without clamping.
-
-    The hot path updates :attr:`counts` / :attr:`n` / :attr:`total` directly
-    (see :class:`StreamingTraceStats`); :meth:`add` is the convenience entry
-    point for cold paths such as the service metrics.
+    with negative exponents — is representable without clamping.  The
+    observation count is the sum of the bucket counts, not a counter of its
+    own.  This class serves cold paths such as the service metrics;
+    :meth:`StreamingTraceStats.fold` keeps bare bucket dicts.
     """
 
-    __slots__ = ("counts", "n", "total")
+    __slots__ = ("counts", "total")
 
     def __init__(self) -> None:
         self.counts: dict[int, int] = {}
-        self.n = 0
         self.total = 0.0
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts.values())
 
     def add(self, value: float) -> None:
         """Record one observation (non-positive values land in bucket 0)."""
@@ -91,16 +107,11 @@ class LogHistogram:
             i = frexp(value)[1] if value > 0.0 else 0
         counts = self.counts
         counts[i] = counts.get(i, 0) + 1
-        self.n += 1
         self.total += value
 
     def freeze(self) -> HistogramSummary:
         """Immutable snapshot with deterministic (sorted) bucket order."""
-        return HistogramSummary(
-            buckets=tuple(sorted(self.counts.items())),
-            n=self.n,
-            total=self.total,
-        )
+        return HistogramSummary.of(self.counts, self.total)
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,11 @@ class HistogramSummary:
     buckets: tuple[tuple[int, int], ...] = ()
     n: int = 0
     total: float = 0.0
+
+    @classmethod
+    def of(cls, counts: dict[int, int], total: float) -> HistogramSummary:
+        """Freeze bucket ``counts`` (exponent -> count) with their ``total``."""
+        return cls(buckets=tuple(sorted(counts.items())), n=sum(counts.values()), total=total)
 
     def quantile(self, q: float) -> float:
         """Upper bucket edge at cumulative fraction ``q`` (0 for empty)."""
@@ -196,9 +212,9 @@ class HotSpot:
 class TraceStats:
     """Immutable snapshot of a run's streaming statistics.
 
-    Attached to ``TraceSummary.stats`` by live simulations (``None`` for
-    summaries rebuilt from the persistent cache — the windows are not
-    serialised, only the top-K hot spots are).  All fields are excluded from
+    Built on first read of ``TraceSummary.stats`` of a live simulation
+    (``None`` for summaries rebuilt from the persistent cache — the windows
+    are not serialised, only the top-K hot spots are).  Excluded from
     ``TraceSummary`` equality so cached round-trips still compare equal.
     """
 
@@ -244,15 +260,32 @@ class TraceStats:
 
 
 class StreamingTraceStats:
-    """Single-pass accumulator fed inline by the trace recording hot path.
+    """Bounded-memory streaming statistics of one trace, built when read.
 
-    The three public callbacks — :meth:`on_message`, :meth:`on_flops`,
-    :meth:`on_tick` — are written for the per-event budget of the engine
-    benchmarks: bound locals, dict upserts, no helper calls except the
-    timeline adds.  ``on_tick`` only advances the time horizon (a max), so
-    the dispatch pattern cannot perturb the snapshot; the executor's
-    ``finalize(makespan)`` pins the horizon regardless.
+    :meth:`~repro.gridsim.trace.Trace.record_message` and
+    :meth:`~repro.gridsim.trace.Trace.record_flops` append each event as a
+    tuple to :attr:`pending`, and :meth:`fold` replays the pending events,
+    in arrival order, into the histograms, traffic totals, contention sites
+    and windowed timelines.  Folding happens when the hot spots or the
+    snapshot are read or when :attr:`max_pending` events have piled up, so
+    memory stays bounded and a shorter run whose statistics nobody reads
+    never folds at all.  Replay in arrival order makes the result
+    independent of when the folds happen.
+
+    Nothing the trace already counts is counted again: histograms hold only
+    bucket counts (a histogram's ``n`` is their sum); the size and flop
+    histogram totals, and the message and byte columns of point-to-point
+    traffic, are the trace's per-link and per-kernel totals, which
+    :meth:`snapshot` reads from the summary.  :meth:`on_tick` only advances
+    the time horizon (a max), so the dispatch pattern cannot perturb the
+    snapshot; the executor's :meth:`finalize` pins the horizon regardless.
     """
+
+    #: :attr:`max_pending` is this many events per rank (less memory than
+    #: the rank's timeline row), and at least :attr:`MIN_PENDING`.  A
+    #: virtual TSQR run records about three events per rank.
+    PENDING_PER_RANK = 4
+    MIN_PENDING = 1024
 
     def __init__(
         self,
@@ -264,132 +297,107 @@ class StreamingTraceStats:
         max_sites: int = 65536,
     ) -> None:
         self.n_ranks = n_ranks
+        self.n_windows = n_windows
+        self.base_window_s = base_window_s
         self.top_k = top_k
+        self.max_sites = max_sites
         self.horizon = 0.0
         #: Next virtual time at which the scheduler should call
         #: :meth:`on_tick`; geometric stride keeps the tick count
         #: logarithmic in the makespan.
         self.next_tick = 0.0
-        self._max_sites = max_sites
-        self._lat: list[LogHistogram] = [LogHistogram() for _ in LinkClass]
-        self._size: list[LogHistogram] = [LogHistogram() for _ in LinkClass]
-        self._kernels: dict[str, LogHistogram] = {}
-        self._timeline = WindowedTimeline(
-            n_ranks, n_windows=n_windows, base_s=base_window_s
-        )
+        #: Unfolded events: ``(rank, flops, kernel, seconds, end_time)`` and
+        #: ``(source, dest, nbytes, link index, tag, send_time, recv_time,
+        #: wait_s)`` tuples in arrival order.
+        self.pending: list[tuple] = []
+        #: Pending events that trigger a fold (an instance attribute: the hot
+        #: path reads it per event).
+        self.max_pending = max(self.MIN_PENDING, self.PENDING_PER_RANK * n_ranks)
+        # Folded accumulators.  Bucket counts (exponent -> count) per link
+        # index and per kernel; the timeline is allocated at the first fold.
+        self.size_counts: list[dict[int, int]] = [{} for _ in LinkClass]
+        self.latency_counts: list[dict[int, int]] = [{} for _ in LinkClass]
+        self.latency_total = [0.0] * len(LinkClass)
+        self.flop_counts: dict[str, dict[int, int]] = {}
+        self.timeline: WindowedTimeline | None = None
+        #: (link index, collective tag) -> [messages, nbytes, wait_s].
+        self.collectives: dict[tuple[int, str], list] = {}
+        #: Point-to-point wait seconds per link index.
+        self.p2p_wait = [0.0] * len(LinkClass)
         #: (link index, source, dest) -> [wait_s, messages, nbytes]; only
         #: messages with wait_s > 0 are accounted, capped at ``max_sites``
-        #: entries with an overflow slot per link.
-        self._sites: dict[tuple[int, int, int], list] = {}
-        #: (link index, traffic class) -> [messages, nbytes, wait_s].
-        self._traffic: dict[tuple[int, str], list] = {}
+        #: entries with an overflow site ``(link, -1, -1)`` per link.
+        self.sites: dict[tuple[int, int, int], list] = {}
 
-    # ------------------------------------------------------------ hot path
-    def on_message(
-        self,
-        source: int,
-        dest: int,
-        nbytes: int,
-        link_idx: int,
-        tag: str,
-        send_time: float,
-        recv_time: float,
-        wait_s: float,
-    ) -> None:
-        """Observe one recorded message (called inline, single writer)."""
-        h = self._size[link_idx]
-        counts = h.counts
-        i = nbytes.bit_length()
-        counts[i] = counts.get(i, 0) + 1
-        h.n += 1
-        h.total += nbytes
-        if recv_time > send_time:
-            lat = recv_time - send_time
-            h = self._lat[link_idx]
-            counts = h.counts
-            i = frexp(lat)[1]
+    def fold(self) -> None:
+        """Replay the pending events into the accumulators, in arrival order."""
+        if self.timeline is None:
+            self.timeline = WindowedTimeline(
+                self.n_ranks, n_windows=self.n_windows, base_s=self.base_window_s
+            )
+        tl = self.timeline
+        busy, wait, received = tl.busy, tl.wait, tl.nbytes
+        sites = self.sites
+        horizon = self.horizon
+        for event in self.pending:
+            if len(event) == 5:
+                rank, flops, kernel, seconds, end_time = event
+                counts = self.flop_counts.get(kernel)
+                if counts is None:
+                    counts = self.flop_counts[kernel] = {}
+                i = frexp(flops)[1]
+                counts[i] = counts.get(i, 0) + 1
+                if end_time is not None and seconds > 0.0:
+                    busy[tl.slot(rank, end_time)] += seconds
+                    if end_time > horizon:
+                        horizon = end_time
+                continue
+            source, dest, nbytes, idx, tag, send_time, recv_time, wait_s = event
+            counts = self.size_counts[idx]
+            i = nbytes.bit_length()
             counts[i] = counts.get(i, 0) + 1
-            h.n += 1
-            h.total += lat
-        cls = tag if tag in COLLECTIVE_TAGS else "p2p"
-        traffic = self._traffic
-        tkey = (link_idx, cls)
-        ent = traffic.get(tkey)
-        if ent is None:
-            ent = traffic[tkey] = [0, 0, 0.0]
-        ent[0] += 1
-        ent[1] += nbytes
-        timed = recv_time > 0.0
-        waited = wait_s > 0.0
-        if timed or waited:
-            # Inlined timeline update: bytes and wait share the window at
-            # ``recv_time``, so one row lookup and one division cover both
-            # (the separate add_bytes/add_wait calls cost ~2x on this path).
-            # Collective tree edges carry no absolute times (recv_time 0.0)
-            # and are excluded from the bytes timeline, matching what an
-            # event replay can reconstruct.
-            tl = self._timeline
-            row = tl._rows.get(dest)
-            if row is None:
-                row = tl._seed(dest, recv_time)
-            width = row[0]
-            i = int(recv_time / width)
-            if i >= tl.n_windows:
-                width = tl._grow(row, recv_time)
-                i = int(recv_time / width)
-            if timed:
-                row[3][i] += nbytes
-                if recv_time > self.horizon:
-                    self.horizon = recv_time
-            if waited:
-                row[2][i] += wait_s
-                ent[2] += wait_s
-                sites = self._sites
-                skey = (link_idx, source, dest)
-                site = sites.get(skey)
-                if site is None:
-                    if len(sites) < self._max_sites:
-                        site = sites[skey] = [0.0, 0, 0]
+            if recv_time > send_time:
+                latency = recv_time - send_time
+                counts = self.latency_counts[idx]
+                i = frexp(latency)[1]
+                counts[i] = counts.get(i, 0) + 1
+                self.latency_total[idx] += latency
+            ent = None
+            if tag in COLLECTIVE_TAGS:
+                ent = self.collectives.get((idx, tag))
+                if ent is None:
+                    ent = self.collectives[idx, tag] = [0, 0, 0.0]
+                ent[0] += 1
+                ent[1] += nbytes
+            if recv_time > 0.0 or wait_s > 0.0:
+                # Bytes and wait share the window at ``recv_time``.
+                # Collective tree edges carry no absolute times (recv_time
+                # 0.0) and stay off the bytes timeline, as an event replay
+                # would have them.
+                j = tl.slot(dest, recv_time)
+                if recv_time > 0.0:
+                    received[j] += nbytes
+                    if recv_time > horizon:
+                        horizon = recv_time
+                if wait_s > 0.0:
+                    wait[j] += wait_s
+                    if ent is None:
+                        self.p2p_wait[idx] += wait_s
                     else:
-                        skey = (link_idx, -1, -1)
-                        site = sites.get(skey)
+                        ent[2] += wait_s
+                    key = (idx, source, dest)
+                    site = sites.get(key)
+                    if site is None:
+                        if len(sites) >= self.max_sites:
+                            key = (idx, -1, -1)
+                            site = sites.get(key)
                         if site is None:
-                            site = sites[skey] = [0.0, 0, 0]
-                site[0] += wait_s
-                site[1] += 1
-                site[2] += nbytes
-
-    def on_flops(
-        self,
-        rank: int,
-        flops: float,
-        kernel: str,
-        seconds: float,
-        end_time: float | None,
-    ) -> None:
-        """Observe one flop charge (``end_time`` None when unknown)."""
-        h = self._kernels.get(kernel)
-        if h is None:
-            h = self._kernels[kernel] = LogHistogram()
-        counts = h.counts
-        i = frexp(flops)[1]
-        counts[i] = counts.get(i, 0) + 1
-        h.n += 1
-        h.total += flops
-        if end_time is not None and seconds > 0.0:
-            # Inlined WindowedTimeline.add_busy (hot path, see on_message).
-            tl = self._timeline
-            row = tl._rows.get(rank)
-            if row is None:
-                row = tl._seed(rank, end_time)
-            width = row[0]
-            i = int(end_time / width)
-            if i >= tl.n_windows:
-                width = tl._grow(row, end_time)
-                i = int(end_time / width)
-            row[1][i] += seconds
-            if end_time > self.horizon:
-                self.horizon = end_time
+                            site = sites[key] = [0.0, 0, 0]
+                    site[0] += wait_s
+                    site[1] += 1
+                    site[2] += nbytes
+        self.horizon = horizon
+        self.pending.clear()
 
     def on_tick(self, now: float) -> float:
         """Advance the horizon from the scheduler; returns the next tick time.
@@ -411,65 +419,88 @@ class StreamingTraceStats:
             self.horizon = makespan
 
     def top_hotspots(self) -> tuple[HotSpot, ...]:
-        """Top-K contention sites by accumulated wait, deterministic order."""
+        """Top-K contention sites by accumulated wait, deterministic order.
+
+        One ``heapq.nsmallest`` pass over the site table (after a
+        :meth:`fold`): the same K sites, in the same order, as a full sort
+        on the same key.
+        """
+        self.fold()
         link_names = [k.value for k in LinkClass]
-        ranked = sorted(
-            self._sites.items(),
+        ranked = heapq.nsmallest(
+            self.top_k,
+            self.sites.items(),
             key=lambda kv: (-kv[1][0], kv[0][0], kv[0][1], kv[0][2]),
         )
         return tuple(
-            HotSpot(
-                link=link_names[link_idx],
-                source=source,
-                dest=dest,
-                wait_s=vals[0],
-                messages=vals[1],
-                nbytes=vals[2],
-            )
-            for (link_idx, source, dest), vals in ranked[: self.top_k]
+            HotSpot(link_names[link_idx], source, dest, *vals)
+            for (link_idx, source, dest), vals in ranked
         )
 
-    def snapshot(self) -> TraceStats:
-        """Freeze every accumulator into an immutable :class:`TraceStats`."""
+    def snapshot(self, totals: TraceSummary) -> TraceStats:
+        """Fold, then freeze every accumulator into a :class:`TraceStats`.
+
+        ``totals`` is the summary of the trace that fed this observer: its
+        per-link message and byte counts, per-kernel flops and top-K hot
+        spots complete what the observer does not count itself.  A float
+        sum of integer byte counts is exact below 2**53 bytes, so
+        ``float(bytes)`` equals a running float total of the sizes.
+        """
+        self.fold()
         link_names = [k.value for k in LinkClass]
-        busy, wait, nbytes = self._timeline.snapshot(self.horizon)
+        # Point-to-point traffic is whatever the collectives leave of the
+        # trace's per-link totals.
+        rows = dict(self.collectives)
+        for link_idx, link in enumerate(link_names):
+            collective = [ent for (i, _), ent in self.collectives.items() if i == link_idx]
+            messages = totals.n_messages.get(link, 0) - sum(e[0] for e in collective)
+            if messages:
+                nbytes = totals.bytes_by_link[link] - sum(e[1] for e in collective)
+                rows[link_idx, "p2p"] = (messages, nbytes, self.p2p_wait[link_idx])
         traffic: dict[str, dict[str, dict]] = {}
-        for (link_idx, cls), (messages, total_bytes, wait_s) in sorted(
-            self._traffic.items()
-        ):
-            traffic.setdefault(link_names[link_idx], {})[cls] = {
+        for (link_idx, tag), (messages, nbytes, wait_s) in sorted(rows.items()):
+            traffic.setdefault(link_names[link_idx], {})[tag] = {
                 "messages": messages,
-                "nbytes": total_bytes,
+                "nbytes": nbytes,
                 "wait_s": wait_s,
             }
+        busy, wait, recv_bytes = self.timeline.snapshot(self.horizon)
         return TraceStats(
             n_ranks=self.n_ranks,
             horizon_s=self.horizon,
-            window_s=self._timeline.snapshot_width(self.horizon),
+            window_s=self.timeline.snapshot_width(self.horizon),
             latency_by_link={
-                link_names[i]: h.freeze() for i, h in enumerate(self._lat) if h.n
+                link: HistogramSummary.of(counts, total)
+                for link, counts, total in zip(
+                    link_names, self.latency_counts, self.latency_total
+                )
+                if counts
             },
             size_by_link={
-                link_names[i]: h.freeze() for i, h in enumerate(self._size) if h.n
+                link: HistogramSummary.of(counts, float(totals.bytes_by_link[link]))
+                for link, counts in zip(link_names, self.size_counts)
+                if counts
             },
-            flops_by_kernel={k: h.freeze() for k, h in sorted(self._kernels.items())},
+            flops_by_kernel={
+                kernel: HistogramSummary.of(counts, totals.flops_by_kernel[kernel])
+                for kernel, counts in sorted(self.flop_counts.items())
+            },
             busy_timeline=busy,
             wait_timeline=wait,
-            recv_bytes_timeline=nbytes,
+            recv_bytes_timeline=recv_bytes,
             link_traffic=traffic,
-            hot_spots=self.top_hotspots(),
+            hot_spots=totals.hot_spots,
         )
 
 
-def stats_from_events(
-    events, *, n_ranks: int, makespan: float, **kwargs
-) -> TraceStats:
+def stats_from_events(events, *, n_ranks: int, makespan: float) -> TraceStats:
     """Recompute streaming statistics from a ``record_messages=True`` stream.
 
-    Replays the event tuples through the *same* :class:`StreamingTraceStats`
-    code path, so every statistic derivable from the retained events —
-    latency and size histograms, per-kernel flop histograms, the
-    received-bytes timeline and the per-link traffic counts — matches the
+    Replays the event tuples through a fresh
+    :class:`~repro.gridsim.trace.Trace` — the *same* recording and observer
+    code path as a live run — so every statistic derivable from the retained
+    events (latency and size histograms, per-kernel flop histograms, the
+    received-bytes timeline and the per-link traffic counts) matches the
     online snapshot bit for bit (the equivalence test asserts this).
 
     Event tuples do not carry per-receive wait times or flop end times (the
@@ -478,24 +509,23 @@ def stats_from_events(
     come back empty here; the equivalence suite covers those by comparing
     recording against non-recording runs and by golden snapshot digests.
     """
-    stats = StreamingTraceStats(n_ranks, **kwargs)
-    on_message = stats.on_message
-    on_flops = stats.on_flops
+    from repro.gridsim.trace import Trace  # the trace module imports this one
+
+    trace = Trace(n_ranks, streaming=True)
     for event in events:
         kind = event[0]
         if kind == "message":
             rec = event[1]
-            on_message(
+            trace.record_message(
                 rec.source,
                 rec.dest,
                 rec.nbytes,
-                rec.link.index,
-                rec.tag,
-                rec.send_time,
-                rec.recv_time,
-                0.0,
+                rec.link,
+                tag=rec.tag,
+                send_time=rec.send_time,
+                recv_time=rec.recv_time,
             )
         elif kind == "flops":
-            on_flops(event[1], event[2], event[3], 0.0, None)
-    stats.finalize(makespan)
-    return stats.snapshot()
+            trace.record_flops(event[1], event[2], event[3])
+    trace.finalize(makespan)
+    return trace.summary().stats

@@ -118,9 +118,9 @@ def point_from_payload(payload: dict) -> ExperimentPoint:
     trace_fields = dict(payload["trace"])
     for name in _TUPLE_FIELDS:
         trace_fields[name] = tuple(trace_fields.get(name, ()))
-    trace_fields["hot_spots"] = tuple(
+    trace_fields["_hot_spots"] = tuple(
         HotSpot(link, source, dest, wait_s, messages, nbytes)
-        for link, source, dest, wait_s, messages, nbytes in trace_fields.get(
+        for link, source, dest, wait_s, messages, nbytes in trace_fields.pop(
             "hot_spots", ()
         )
     )
